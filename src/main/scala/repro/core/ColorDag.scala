@@ -31,6 +31,40 @@ final class ColorDag(
 
 object ColorDag {
 
+  /** Rule (2)'s test: whether the positions in `c` carry at least `need`
+    * distinct colors. `c` is sorted and colors are non-increasing with
+    * position, so each new color is a transition, and the scan stops at the
+    * `need`-th one.
+    */
+  def hasColors(c: Array[Int], colors: Array[Int], need: Int): Boolean = {
+    var seen = 0
+    var last = -1
+    var i = 0
+    while (i < c.length && seen < need) {
+      val col = colors(c(i))
+      if (col != last) { seen += 1; last = col }
+      i += 1
+    }
+    seen >= need
+  }
+
+  /** [[hasColors]] for a position set given as the bitset `c(0 until words)`. */
+  def hasColorsBits(c: Array[Long], words: Int, colors: Array[Int], need: Int): Boolean = {
+    var seen = 0
+    var last = -1
+    var w = 0
+    while (w < words && seen < need) {
+      var bits = c(w)
+      while (bits != 0 && seen < need) {
+        val col = colors((w << 6) + java.lang.Long.numberOfTrailingZeros(bits))
+        bits &= bits - 1
+        if (col != last) { seen += 1; last = col }
+      }
+      w += 1
+    }
+    seen >= need
+  }
+
   /** Builds the DAG from adjacency lists over dense ids `0 until s`.
     *
     * @return the DAG plus `posOf`: dense id -> position (needed by callers

@@ -7,20 +7,31 @@ package repro.core
   */
 object Combinatorics {
 
-  /** C(n, k) with Long saturation (Long.MaxValue on overflow); 0 outside range. */
+  /** C(n, k), exact; 0 outside range.
+    *
+    * @throws ArithmeticException if C(n, k) exceeds Long.MaxValue
+    */
   def binomial(n: Int, k: Int): Long = {
     if (k < 0 || k > n) return 0L
     val kk = math.min(k, n - k)
     var acc = 1L
     var i = 1
     while (i <= kk) {
+      // acc = acc * num / i. The quotient is an integer, so i / gcd(acc, i)
+      // divides num; dividing first keeps the product from overflowing
+      // before the result does (C(n - kk + i, i) only grows with i).
       val num = n - kk + i
-      // acc = acc * num / i, detecting overflow before it happens.
-      if (acc > Long.MaxValue / num) return Long.MaxValue
-      acc = acc * num / i
+      val g = gcd(acc, i)
+      acc = Math.multiplyExact(acc / g, num / (i / g))
       i += 1
     }
     acc
+  }
+
+  private def gcd(a0: Long, b0: Long): Long = {
+    var a = a0; var b = b0
+    while (b != 0) { val t = a % b; a = b; b = t }
+    a
   }
 
   /** Invokes `f(buf, k)` once per k-combination of `items(0 until len)`;

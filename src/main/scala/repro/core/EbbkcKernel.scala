@@ -92,6 +92,14 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   private val stampOf = new Array[Int](g.n)
   private val localIdx = new Array[Int](g.n)
   private var stamp = 0
+  // ESet of the current top-level branch: edge ids, in no particular order.
+  private var edgeBuf = new Array[Int](64)
+  // EBBkC-H candidate rows, one pair per edge-branching depth: the branch at
+  // stack depth sp builds c_u in cuRows(sp / 2) and c_uv in c2Rows(sp / 2);
+  // c2Rows(0) holds a branch graph's full vertex set. Rows grow only when a
+  // branch graph needs more words, so branching itself allocates nothing.
+  private val cuRows = Array.fill(k / 2 + 1)(Array.emptyLongArray)
+  private val c2Rows = Array.fill(k / 2 + 1)(Array.emptyLongArray)
 
   override def run(subId: Int, sink: CliqueSink): Unit = cfg.ordering match {
     case ColorOrdering => runColorSub(subId, sink)
@@ -127,20 +135,23 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     if (nv < l0) return
     val verts = if (nv == vset.length) vset else java.util.Arrays.copyOf(vset, nv)
 
-    // ESet(e): edges among VSet(e) ranked after e, sorted by rank.
-    val edges = if (l0 >= 2) buildBranchEdges(verts, r) else Array.emptyIntArray
+    // ESet(e): edges among VSet(e) ranked after e. Only EBBkC-T branches on
+    // them in rank order; EBBkC-H recolors the branch graph instead.
+    val ne = if (l0 >= 2) collectBranchEdges(verts, r) else 0
 
     stack(0) = u; stack(1) = v
-    if (cfg.ordering == HybridOrdering) runHybridBranch(verts, edges, l0, sink)
-    else recT(verts, edges, l0, 2, sink)
+    if (cfg.ordering == HybridOrdering) runHybridBranch(verts, edgeBuf, ne, l0, sink)
+    else recT(verts, sortedByRank(edgeBuf, ne), l0, 2, sink)
   }
 
-  /** Edges of g with both endpoints in `verts` and rank > r, sorted by rank. */
-  private def buildBranchEdges(verts: Array[Int], r: Int): Array[Int] = {
+  /** Writes the edges of g with both endpoints in `verts` and rank > r into
+    * `edgeBuf` (unordered) and returns their number.
+    */
+  private def collectBranchEdges(verts: Array[Int], r: Int): Int = {
     stamp += 1
     var i = 0
     while (i < verts.length) { stampOf(verts(i)) = stamp; i += 1 }
-    val buf = new scala.collection.mutable.ArrayBuffer[Long]
+    var ne = 0
     i = 0
     while (i < verts.length) {
       val w1 = verts(i)
@@ -149,18 +160,27 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
         val w2 = g.adj(p)
         if (w2 > w1 && stampOf(w2) == stamp) {
           val f = g.adjEdgeIds(p)
-          val rf = rank(f)
-          if (rf > r) buf += (rf.toLong << 32) | f
+          if (rank(f) > r) {
+            if (ne == edgeBuf.length) edgeBuf = java.util.Arrays.copyOf(edgeBuf, 2 * ne)
+            edgeBuf(ne) = f; ne += 1
+          }
         }
         p += 1
       }
       i += 1
     }
-    val packed = buf.toArray
+    ne
+  }
+
+  /** `edges(0 until ne)` sorted by rank, as packed (rank, id) keys. */
+  private def sortedByRank(edges: Array[Int], ne: Int): Array[Int] = {
+    val packed = new Array[Long](ne)
+    var i = 0
+    while (i < ne) { packed(i) = (rank(edges(i)).toLong << 32) | edges(i); i += 1 }
     java.util.Arrays.sort(packed)
-    val out = new Array[Int](packed.length)
+    val out = new Array[Int](ne)
     i = 0
-    while (i < packed.length) { out(i) = packed(i).toInt; i += 1 }
+    while (i < ne) { out(i) = packed(i).toInt; i += 1 }
     out
   }
 
@@ -172,7 +192,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   private def recT(verts: Array[Int], edges: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
     if (verts.length < l) return
     if (etT > 0 && l >= 3) {
-      val rows = rowsFromEdgesIfPlex(verts, edges)
+      val rows = rowsFromEdgesIfPlex(verts, edges, edges.length)
       if (rows != null &&
           PlexListers.tryEarlyTerminate(stack, sp, verts, verts.length, rows, l, etT, sink))
         return
@@ -242,18 +262,19 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     }
   }
 
-  /** Bitset adjacency of the branch graph (verts, edges) for the ET check,
-    * or null if the branch graph is not a t-plex (degrees checked first in
-    * one O(|E| + |V|) pass so the common sparse case skips the matrix).
+  /** Bitset adjacency of the branch graph (verts, edges(0 until ne)) for the
+    * ET check, or null if the branch graph is not a t-plex (degrees checked
+    * first in one O(|E| + |V|) pass so the common sparse case skips the
+    * matrix).
     */
-  private def rowsFromEdgesIfPlex(verts: Array[Int], edges: Array[Int]): Array[Array[Long]] = {
+  private def rowsFromEdgesIfPlex(verts: Array[Int], edges: Array[Int], ne: Int): Array[Array[Long]] = {
     val nv = verts.length
     stamp += 1
     var i = 0
     while (i < nv) { stampOf(verts(i)) = stamp; localIdx(verts(i)) = i; i += 1 }
     val degs = new Array[Int](nv)
     i = 0
-    while (i < edges.length) {
+    while (i < ne) {
       val f = edges(i)
       degs(localIdx(g.edgeU(f))) += 1
       degs(localIdx(g.edgeV(f))) += 1
@@ -265,7 +286,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     val words = (nv + 63) >>> 6
     val rows = Array.ofDim[Long](nv, words)
     i = 0
-    while (i < edges.length) {
+    while (i < ne) {
       val f = edges(i)
       val a = localIdx(g.edgeU(f)); val b = localIdx(g.edgeV(f))
       rows(a)(b >>> 6) |= 1L << (b & 63)
@@ -281,9 +302,10 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     * color-DAG recursion. ET is probed first so dense branch graphs skip the
     * coloring altogether.
     */
-  private def runHybridBranch(verts: Array[Int], edges: Array[Int], l0: Int, sink: CliqueSink): Unit = {
+  private def runHybridBranch(
+      verts: Array[Int], edges: Array[Int], ne: Int, l0: Int, sink: CliqueSink): Unit = {
     if (etT > 0 && l0 >= 3 && verts.length >= l0) {
-      val rows = rowsFromEdgesIfPlex(verts, edges)
+      val rows = rowsFromEdgesIfPlex(verts, edges, ne)
       if (rows != null &&
           PlexListers.tryEarlyTerminate(stack, 2, verts, verts.length, rows, l0, etT, sink))
         return
@@ -297,10 +319,10 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       return
     }
     if (l0 == 2) {
-      if (!sink.wantsCliques) sink.onCount(edges.length)
+      if (!sink.wantsCliques) sink.onCount(ne)
       else {
         var i = 0
-        while (i < edges.length) {
+        while (i < ne) {
           val f = edges(i)
           stack(2) = g.edgeU(f); stack(3) = g.edgeV(f)
           sink.onClique(stack, 4)
@@ -316,7 +338,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     while (i < s) { stampOf(verts(i)) = stamp; localIdx(verts(i)) = i; i += 1 }
     val deg = new Array[Int](s)
     i = 0
-    while (i < edges.length) {
+    while (i < ne) {
       val f = edges(i)
       deg(localIdx(g.edgeU(f))) += 1; deg(localIdx(g.edgeV(f))) += 1
       i += 1
@@ -326,7 +348,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     while (i < s) { adjL(i) = new Array[Int](deg(i)); i += 1 }
     val cursor = new Array[Int](s)
     i = 0
-    while (i < edges.length) {
+    while (i < ne) {
       val f = edges(i)
       val a = localIdx(g.edgeU(f)); val b = localIdx(g.edgeV(f))
       adjL(a)(cursor(a)) = b; cursor(a) += 1
@@ -335,12 +357,11 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     }
     i = 0
     while (i < s) { java.util.Arrays.sort(adjL(i)); i += 1 }
-    val colorOrder = Array.tabulate(s)(identity).sortBy(v => (-deg(v), v))
-    val colors = Coloring.greedyLocal(adjL, colorOrder)
+    val colors = Coloring.greedyLocal(adjL, IntArrays.orderByKeyDesc(deg, s))
     // Relabel into color-desc position space and run the word-parallel
     // DAG recursion: branch graphs are bounded by tau, so candidate sets fit
     // a handful of words — the same data-level parallelism BitCol enjoys.
-    val order = Array.tabulate(s)(identity).sortBy(v => (-colors(v), v))
+    val order = IntArrays.orderByKeyDesc(colors, s)
     val posOf = new Array[Int](s)
     i = 0
     while (i < s) { posOf(order(i)) = i; i += 1 }
@@ -364,11 +385,15 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       }
       p += 1
     }
-    val full = new Array[Long](words)
+    if (cuRows(0).length < words) {
+      i = 0
+      while (i < cuRows.length) { cuRows(i) = new Array[Long](words); c2Rows(i) = new Array[Long](words); i += 1 }
+    }
+    val full = c2Rows(0)
     i = 0
-    while (i < s) { full(i >>> 6) |= 1L << (i & 63); i += 1 }
+    while (i < words) { full(i) = if (i < (s >>> 6)) -1L else (1L << (s & 63)) - 1; i += 1 }
     val runner = new ColorBitRunner(
-      s, words, outRows, undRows, posColors, toOuterPos, cfg.rule2, etT, stack, this)
+      words, outRows, undRows, posColors, toOuterPos, cfg.rule2, etT, stack, cuRows, c2Rows)
     runner.run(full, s, l0, 2, etHere = false, sink)
   }
 
@@ -386,24 +411,20 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     val c0 = IntArrays.intersectSorted(dag.out(u), dag.out(v))
     if (c0.length < l0) return
     stack(0) = dag.toOuter(u); stack(1) = dag.toOuter(v)
-    val runner = new ColorBranchRunner(dag, cfg.rule2, etT, stack, this)
-    if (cfg.rule2 && runner.distinctColors(c0) < l0) return // Rule (2)
-    runner.run(c0, l0, 2, etHere = true, sink)
+    if (cfg.rule2 && !ColorDag.hasColors(c0, dag.colors, l0)) return // Rule (2)
+    new ColorBranchRunner(dag, cfg.rule2, etT, stack).run(c0, l0, 2, etHere = true, sink)
   }
-
-  // Scratch shared with ColorBranchRunner for distinct-color counting.
-  private[core] val colorStampOf = new Array[Int](g.maxDegree + 3)
-  private[core] var colorStamp = 0
 }
 
 /** Word-parallel edge-oriented branching over a small color DAG in position
   * space — the EBBkC-H inner kernel. Identical semantics to
   * [[ColorBranchRunner]] (Rules 1 & 2, ET, DAG uniqueness) with candidate
   * sets as `Long` bitsets, viable because hybrid branch graphs are bounded
-  * by tau vertices.
+  * by tau vertices. The candidate sets of the branch at stack depth sp live
+  * in the caller's `cuRows(sp / 2)` and `c2Rows(sp / 2)`, each at least
+  * `words` long.
   */
 final class ColorBitRunner(
-    s: Int,
     words: Int,
     outRows: Array[Array[Long]],
     undRows: Array[Array[Long]],
@@ -412,26 +433,9 @@ final class ColorBitRunner(
     rule2: Boolean,
     etT: Int,
     stack: Array[Int],
-    owner: EbbkcKernel
+    cuRows: Array[Array[Long]],
+    c2Rows: Array[Array[Long]]
 ) {
-
-  private def distinctColorsBits(c: Array[Long]): Int = {
-    owner.colorStamp += 1
-    val st = owner.colorStamp
-    var cnt = 0
-    var w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        val col = colors(u)
-        if (owner.colorStampOf(col) != st) { owner.colorStampOf(col) = st; cnt += 1 }
-      }
-      w += 1
-    }
-    cnt
-  }
 
   /** ET probe with early abort on the induced-degree scan. */
   private def tryEt(c: Array[Long], cnt: Int, l: Int, sp: Int, sink: CliqueSink): Boolean = {
@@ -499,19 +503,18 @@ final class ColorBitRunner(
       return
     }
     if (l == 2) {
+      val counting = !sink.wantsCliques
+      var total = 0L
       var w = 0
       while (w < words) {
         var bits = c(w)
         while (bits != 0) {
           val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
           bits &= bits - 1
-          if (!sink.wantsCliques) {
-            var d = 0
-            var ww = 0
-            while (ww < words) { d += java.lang.Long.bitCount(c(ww) & outRows(u)(ww)); ww += 1 }
-            sink.onCount(d)
+          var ww = 0
+          if (counting) {
+            while (ww < words) { total += java.lang.Long.bitCount(c(ww) & outRows(u)(ww)); ww += 1 }
           } else {
-            var ww = 0
             while (ww < words) {
               var bits2 = c(ww) & outRows(u)(ww)
               while (bits2 != 0) {
@@ -526,8 +529,11 @@ final class ColorBitRunner(
         }
         w += 1
       }
+      if (counting) sink.onCount(total)
       return
     }
+    val cu = cuRows(sp >>> 1)
+    val c2 = c2Rows(sp >>> 1)
     var w = 0
     while (w < words) {
       var bits = c(w)
@@ -535,7 +541,6 @@ final class ColorBitRunner(
         val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
         bits &= bits - 1
         if (colors(u) < l) return // Rule (1a): colors descend with position
-        val cu = new Array[Long](words)
         var ww = 0
         while (ww < words) { cu(ww) = c(ww) & outRows(u)(ww); ww += 1 }
         var w2 = 0
@@ -547,7 +552,6 @@ final class ColorBitRunner(
             bits2 &= bits2 - 1
             if (colors(v) < l - 1) innerLive = false // Rule (1b)
             else {
-              val c2 = new Array[Long](words)
               var cnt2 = 0
               var w3 = 0
               while (w3 < words) {
@@ -555,7 +559,7 @@ final class ColorBitRunner(
                 cnt2 += java.lang.Long.bitCount(c2(w3))
                 w3 += 1
               }
-              if (cnt2 >= l - 2 && (!rule2 || distinctColorsBits(c2) >= l - 2)) {
+              if (cnt2 >= l - 2 && (!rule2 || ColorDag.hasColorsBits(c2, words, colors, l - 2))) {
                 stack(sp) = toOuter(u); stack(sp + 1) = toOuter(v)
                 run(c2, cnt2, l - 2, sp + 2, etHere = true, sink)
               }
@@ -579,23 +583,8 @@ final class ColorBranchRunner(
     dag: ColorDag,
     rule2: Boolean,
     etT: Int,
-    stack: Array[Int],
-    owner: EbbkcKernel
+    stack: Array[Int]
 ) {
-
-  /** Number of distinct colors among positions in `c`. */
-  def distinctColors(c: Array[Int]): Int = {
-    owner.colorStamp += 1
-    val st = owner.colorStamp
-    var cnt = 0
-    var i = 0
-    while (i < c.length) {
-      val col = dag.colors(c(i))
-      if (owner.colorStampOf(col) != st) { owner.colorStampOf(col) = st; cnt += 1 }
-      i += 1
-    }
-    cnt
-  }
 
   def run(c: Array[Int], l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
     if (c.length < l) return
@@ -617,18 +606,22 @@ final class ColorBranchRunner(
       return
     }
     if (l == 2) {
+      if (!sink.wantsCliques) {
+        var total = 0L
+        var i = 0
+        while (i < c.length) { total += IntArrays.intersectionSize(c, dag.out(c(i))); i += 1 }
+        sink.onCount(total)
+        return
+      }
       var i = 0
       while (i < c.length) {
         val u = c(i)
-        if (!sink.wantsCliques) sink.onCount(IntArrays.intersectionSize(c, dag.out(u)))
-        else {
-          val cu = IntArrays.intersectSorted(c, dag.out(u))
-          var j = 0
-          while (j < cu.length) {
-            stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(cu(j))
-            sink.onClique(stack, sp + 2)
-            j += 1
-          }
+        val cu = IntArrays.intersectSorted(c, dag.out(u))
+        var j = 0
+        while (j < cu.length) {
+          stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(cu(j))
+          sink.onClique(stack, sp + 2)
+          j += 1
         }
         i += 1
       }
@@ -646,7 +639,7 @@ final class ColorBranchRunner(
         if (dag.colors(v) < l - 1) continueInner = false // Rule (1b)
         else {
           val c2 = IntArrays.intersectSorted(cu, dag.out(v))
-          if (c2.length >= l - 2 && (!rule2 || distinctColors(c2) >= l - 2)) {
+          if (c2.length >= l - 2 && (!rule2 || ColorDag.hasColors(c2, dag.colors, l - 2))) {
             stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
             run(c2, l - 2, sp + 2, etHere = true, sink)
           }

@@ -29,4 +29,19 @@ object IntArrays {
     }
     k
   }
+
+  /** `0 until n` ordered by `key` descending, ties by index ascending (the
+    * degree and color orders of the local subgraphs), sorted as packed
+    * primitive keys.
+    */
+  def orderByKeyDesc(key: Array[Int], n: Int): Array[Int] = {
+    val packed = new Array[Long](n)
+    var i = 0
+    while (i < n) { packed(i) = (-key(i).toLong << 32) | i; i += 1 }
+    java.util.Arrays.sort(packed)
+    val out = new Array[Int](n)
+    i = 0
+    while (i < n) { out(i) = packed(i).toInt; i += 1 }
+    out
+  }
 }

@@ -24,7 +24,9 @@ object KCliqueSpark {
     countLocal(spark, localized.graph, k, cfg, partitions)
   }
 
-  /** Counts k-cliques of an in-core graph by fanning subproblems out. */
+  /** Counts k-cliques of an in-core graph by fanning subproblems out; a
+    * total past Long.MaxValue throws instead of wrapping.
+    */
   def countLocal(spark: SparkSession, g: LocalGraph, k: Int, cfg: AlgoConfig, partitions: Int = 0): Long = {
     val prep = KClique.prepare(g, k, cfg)
     val parts = if (partitions > 0) partitions else defaultPartitions(spark)
@@ -42,7 +44,7 @@ object KCliqueSpark {
         it.foreach(id => kernel.run(id.toInt, sink))
         Iterator.single(sink.total)
       }
-      .reduce(_ + _)
+      .reduce((a, b) => Math.addExact(a, b))
   }
 
   /** Lists k-cliques as a DataFrame with columns v1 < v2 < ... < vk, mapped

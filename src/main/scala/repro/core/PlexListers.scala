@@ -152,8 +152,11 @@ object PlexListers {
         var c2 = 0
         val c2Max = math.min(l - c1, p)
         while (c2 <= c2Max) {
-          val c3 = l - c1 - c2
-          total += binomial(f, c1) * binomial(p, c2) * binomial(p - c2, c3)
+          // A zero C(p - c2, c3) must not let the other factors overflow.
+          val b3 = binomial(p - c2, l - c1 - c2)
+          if (b3 != 0)
+            total = Math.addExact(total,
+              Math.multiplyExact(Math.multiplyExact(binomial(f, c1), binomial(p, c2)), b3))
           c2 += 1
         }
         c1 += 1

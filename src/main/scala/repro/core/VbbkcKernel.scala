@@ -57,8 +57,11 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
   private val stampOf = new Array[Int](g.n)
   private val localIdx = new Array[Int](g.n)
   private var stamp = 0
-  private val colorStampOf = new Array[Int](g.maxDegree + 3)
-  private var colorStamp = 0
+  // Bitset candidate rows, one per stack depth: the branch at depth sp
+  // builds its candidate set in cRows(sp), so a subproblem entering at depth
+  // sp starts from its full set in cRows(sp - 1). Rows grow only when a
+  // subproblem needs more words, so branching itself allocates nothing.
+  private val cRows = Array.fill(k)(Array.emptyLongArray)
 
   override def run(subId: Int, sink: CliqueSink): Unit =
     if (cfg.edgeParallel) runEdgeSub(subId, sink) else runVertexSub(subId, sink)
@@ -125,11 +128,10 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
     val degs = Array.tabulate(s)(adjL(_).length)
     val (order, colors) = cfg.sub match {
       case SubNatural => (Array.tabulate(s)(identity), null)
-      case SubDegree  => (Array.tabulate(s)(identity).sortBy(v => (-degs(v), v)), null)
+      case SubDegree  => (IntArrays.orderByKeyDesc(degs, s), null)
       case SubColor =>
-        val colorOrder = Array.tabulate(s)(identity).sortBy(v => (-degs(v), v))
-        val cols = Coloring.greedyLocal(adjL, colorOrder)
-        (Array.tabulate(s)(identity).sortBy(v => (-cols(v), v)), cols)
+        val cols = Coloring.greedyLocal(adjL, IntArrays.orderByKeyDesc(degs, s))
+        (IntArrays.orderByKeyDesc(cols, s), cols)
     }
     val posOf = new Array[Int](s)
     i = 0
@@ -167,25 +169,17 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
         while (j < und(i).length) { val b = und(i)(j); undRows(i)(b >>> 6) |= 1L << (b & 63); j += 1 }
         i += 1
       }
-      val full = new Array[Long](words)
+      if (cRows(0).length < words) {
+        i = 0
+        while (i < cRows.length) { cRows(i) = new Array[Long](words); i += 1 }
+      }
+      val full = cRows(sp - 1)
       i = 0
-      while (i < s) { full(i >>> 6) |= 1L << (i & 63); i += 1 }
+      while (i < words) { full(i) = if (i < (s >>> 6)) -1L else (1L << (s & 63)) - 1; i += 1 }
       recBits(full, s, l0, sp, outRows, undRows, posColors, toOuter, words, sink)
     } else {
       recArr(all, l0, sp, out, und, posColors, toOuter, sink)
     }
-  }
-
-  private def distinctColors(c: Array[Int], posColors: Array[Int]): Int = {
-    colorStamp += 1
-    var cnt = 0
-    var i = 0
-    while (i < c.length) {
-      val col = posColors(c(i))
-      if (colorStampOf(col) != colorStamp) { colorStampOf(col) = colorStamp; cnt += 1 }
-      i += 1
-    }
-    cnt
   }
 
   // ------------------------------------------------------------ array kernel
@@ -215,18 +209,22 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
       return
     }
     if (l == 2) {
+      if (!sink.wantsCliques) {
+        var total = 0L
+        var i = 0
+        while (i < c.length) { total += IntArrays.intersectionSize(c, out(c(i))); i += 1 }
+        sink.onCount(total)
+        return
+      }
       var i = 0
       while (i < c.length) {
         val u = c(i)
-        if (!sink.wantsCliques) sink.onCount(IntArrays.intersectionSize(c, out(u)))
-        else {
-          val cu = IntArrays.intersectSorted(c, out(u))
-          var j = 0
-          while (j < cu.length) {
-            stack(sp) = toOuter(u); stack(sp + 1) = toOuter(cu(j))
-            sink.onClique(stack, sp + 2)
-            j += 1
-          }
+        val cu = IntArrays.intersectSorted(c, out(u))
+        var j = 0
+        while (j < cu.length) {
+          stack(sp) = toOuter(u); stack(sp + 1) = toOuter(cu(j))
+          sink.onClique(stack, sp + 2)
+          j += 1
         }
         i += 1
       }
@@ -238,7 +236,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
       if (useColor && posColors(u) < l) return // color pruning; colors non-increasing
       val cu = IntArrays.intersectSorted(c, out(u))
       if (cu.length >= l - 1 &&
-          (!cfg.rule2 || !useColor || distinctColors(cu, posColors) >= l - 1)) {
+          (!cfg.rule2 || !useColor || ColorDag.hasColors(cu, posColors, l - 1))) {
         stack(sp) = toOuter(u)
         recArr(cu, l - 1, sp + 1, out, und, posColors, toOuter, sink)
       }
@@ -321,19 +319,18 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
       return
     }
     if (l == 2) {
+      val counting = !sink.wantsCliques
+      var total = 0L
       var w = 0
       while (w < words) {
         var bits = c(w)
         while (bits != 0) {
           val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
           bits &= bits - 1
-          if (!sink.wantsCliques) {
-            var cnt = 0
-            var ww = 0
-            while (ww < words) { cnt += java.lang.Long.bitCount(c(ww) & outRows(u)(ww)); ww += 1 }
-            sink.onCount(cnt)
+          var ww = 0
+          if (counting) {
+            while (ww < words) { total += java.lang.Long.bitCount(c(ww) & outRows(u)(ww)); ww += 1 }
           } else {
-            var ww = 0
             while (ww < words) {
               var bits2 = c(ww) & outRows(u)(ww)
               while (bits2 != 0) {
@@ -348,8 +345,10 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
         }
         w += 1
       }
+      if (counting) sink.onCount(total)
       return
     }
+    val cNext = cRows(sp)
     var w = 0
     while (w < words) {
       var bits = c(w)
@@ -357,33 +356,15 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
         val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
         bits &= bits - 1
         if (useColor && posColors(u) < l) return // positions ascend, colors descend
-        val cNext = new Array[Long](words)
         var cnt = 0
         var ww = 0
         while (ww < words) { cNext(ww) = c(ww) & outRows(u)(ww); cnt += java.lang.Long.bitCount(cNext(ww)); ww += 1 }
-        if (cnt >= l - 1 && (!cfg.rule2 || !useColor || distinctColorsBits(cNext, words, posColors) >= l - 1)) {
+        if (cnt >= l - 1 && (!cfg.rule2 || !useColor || ColorDag.hasColorsBits(cNext, words, posColors, l - 1))) {
           stack(sp) = toOuter(u)
           recBits(cNext, cnt, l - 1, sp + 1, outRows, undRows, posColors, toOuter, words, sink)
         }
       }
       w += 1
     }
-  }
-
-  private def distinctColorsBits(c: Array[Long], words: Int, posColors: Array[Int]): Int = {
-    colorStamp += 1
-    var cnt = 0
-    var w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        val col = posColors(u)
-        if (colorStampOf(col) != colorStamp) { colorStampOf(col) = colorStamp; cnt += 1 }
-      }
-      w += 1
-    }
-    cnt
   }
 }

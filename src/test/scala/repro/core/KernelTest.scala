@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{GraphGen, LocalGraph, SynthGraphs}
 
 /** Cross-checks every kernel variant against the brute-force reference on a
   * shared set of small graphs — both counts and the exact clique sets.
@@ -157,6 +157,86 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     val g = LocalGraph.fromEdges(4, Seq((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
     for (cfg <- KernelFixtures.algos)
       assert(KClique.count(g, 3, cfg) == 2L, cfg.name)
+  }
+
+  test("algorithm names in the correctness sweep are unique") {
+    val names = KernelFixtures.algos.map(_.name)
+    assert(names.distinct == names, names.diff(names.distinct))
+  }
+
+  test("counts past Long.MaxValue throw instead of wrapping (K70, k=35)") {
+    // C(70, 35) ~ 1.1e20; both ET paths reach it through binomials.
+    val g = GraphGen.complete(70)
+    for (cfg <- Seq[AlgoConfig](Algos.EBBkCET, Algos.VBBkCET))
+      intercept[ArithmeticException](KClique.count(g, 35, cfg))
+    assert(Combinatorics.binomial(66, 33) == 7219428434016265740L)
+    intercept[ArithmeticException](Combinatorics.binomial(67, 33))
+  }
+
+  // Branch graphs and out-neighborhoods of more than 64 vertices take the
+  // multi-word bitset paths and grow the kernels' per-depth rows.
+  test("multi-word candidate sets: K70 counts are binomials") {
+    val g = GraphGen.complete(70)
+    for (k <- 3 to 6; cfg <- Seq[AlgoConfig](Algos.EBBkC, Algos.EBBkC.copy(rule2 = false), Algos.BitCol, Algos.BitColPlus))
+      assert(KClique.count(g, k, cfg) == Combinatorics.binomial(70, k), s"k=$k ${cfg.name}")
+  }
+
+  test("multi-word candidate sets: dense gnp counts agree with EBBkC-T") {
+    val g = GraphGen.gnp(110, 0.75, 11)
+    for (k <- 3 to 5) {
+      val want = KClique.count(g, k, EbbkcAlgo(TrussOrdering))
+      for (cfg <- Seq[AlgoConfig](Algos.EBBkC, Algos.EBBkCET, Algos.BitCol, Algos.VBBkCET, Algos.DDegCol))
+        assert(KClique.count(g, k, cfg) == want, s"k=$k ${cfg.name}")
+    }
+  }
+
+  test("multi-word candidate sets: dense gnp listings of EBBkC+ET equal BitCol's") {
+    val g = GraphGen.gnp(110, 0.75, 11)
+    // Millions of cliques: keep each as one Long, its sorted ids 12 bits each.
+    def listing(k: Int, cfg: AlgoConfig): Array[Long] = {
+      val sink = new CliqueSink {
+        var keys = new Array[Long](1 << 16)
+        var n = 0
+        private val ids = new Array[Int](k)
+        override def wantsCliques: Boolean = true
+        override def onClique(stack: Array[Int], len: Int): Unit = {
+          System.arraycopy(stack, 0, ids, 0, len)
+          java.util.Arrays.sort(ids, 0, len)
+          var key = 0L
+          var i = 0
+          while (i < len) { key = (key << 12) | ids(i); i += 1 }
+          if (n == keys.length) keys = java.util.Arrays.copyOf(keys, 2 * n)
+          keys(n) = key; n += 1
+        }
+        override def onCount(c: Long): Unit = fail("listing run received a count")
+      }
+      val prep = KClique.prepare(g, k, cfg)
+      val kernel = prep.newKernel()
+      for (id <- 0 until prep.numSubproblems) kernel.run(id, sink)
+      val out = java.util.Arrays.copyOf(sink.keys, sink.n)
+      java.util.Arrays.sort(out)
+      out
+    }
+    for (k <- 4 to 5) {
+      val et = listing(k, Algos.EBBkCET)
+      assert(et.length == KClique.count(g, k, Algos.BitCol), s"k=$k")
+      assert((1 until et.length).forall(i => et(i - 1) != et(i)), s"k=$k: duplicate cliques emitted")
+      assert(java.util.Arrays.equals(et, listing(k, Algos.BitCol)), s"k=$k")
+    }
+  }
+
+  test("EBBkC+ET count of the WK stand-in at k=8 allocates under 600 MB") {
+    // Guards the allocation-free branching: a per-branch `new Array` on the
+    // EBBkC-H path brings this back above 1 GB.
+    val g = SynthGraphs("WK")
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val tid = Thread.currentThread.getId
+    val before = mx.getThreadAllocatedBytes(tid)
+    val count = KClique.count(g, 8, Algos.EBBkCET)
+    val mb = (mx.getThreadAllocatedBytes(tid) - before) / 1e6
+    assert(count == 98568307L)
+    assert(mb < 600, f"allocated $mb%.0f MB")
   }
 
   test("paper running example: 4-cliques under color pruning (Figure 2)") {
