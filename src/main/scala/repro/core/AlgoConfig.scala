@@ -19,7 +19,18 @@ case object SubDegree extends VSub
 case object SubColor extends VSub
 
 /** Early-termination configuration (Section 5). */
-sealed trait EtMode extends Serializable
+sealed trait EtMode extends Serializable {
+
+  /** The threshold t for k-clique listing (0 = off), given the graph's tau
+    * when the ordering computed it; the paper's rule needs tau, so without
+    * it EtAuto resolves to 3.
+    */
+  def threshold(k: Int, tau: Option[Int]): Int = this match {
+    case EtOff      => 0
+    case EtFixed(t) => t
+    case EtAuto     => if (tau.exists(k <= _ / 2)) 2 else 3
+  }
+}
 case object EtOff extends EtMode
 /** Terminate branches whose graph is a t-plex for this fixed t. */
 final case class EtFixed(t: Int) extends EtMode

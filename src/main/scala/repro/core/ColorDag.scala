@@ -1,15 +1,21 @@
 package repro.core
 
-/** A colored DAG over a (sub)graph, relabeled into *position space*: vertex p
-  * is the p-th vertex of the color-based ordering (color descending, ties by
-  * id ascending — Section 4.3), so `colors` is non-increasing with position
-  * and every edge is oriented toward the larger position. This is the
-  * structure EBBkC-C branches on globally and EBBkC-H builds per truss-level
-  * subproblem.
+import repro.order.Coloring
+
+/** A DAG over a (sub)graph, relabeled into *position space*: vertex p is the
+  * p-th vertex of a vertex order, and every edge points to the larger
+  * position. Under [[ColorDag.colorOrder]] (color descending, ties by id
+  * ascending — Section 4.3) `colors` is non-increasing with position. This is
+  * the structure EBBkC-C branches on globally and the array VBBkC baselines
+  * build per subproblem; [[BitDag]] is the same DAG with bitset rows.
+  *
+  * Besides the rows, the DAG owns the leaf work of every recursion over it:
+  * the ET probe and the l = 1 / l = 2 base cases. Each writes the clique's
+  * last vertices into `stack` from `sp` on, mapped through `toOuter`.
   *
   * @param out      out-neighbors (larger positions), sorted ascending
   * @param und      all neighbors as positions, sorted ascending
-  * @param colors   greedy color of each position (non-increasing)
+  * @param colors   color of each position, or null for orders without colors
   * @param toOuter  position -> caller's vertex id (for emission)
   */
 final class ColorDag(
@@ -19,7 +25,6 @@ final class ColorDag(
     val colors: Array[Int],
     val toOuter: Array[Int]
 ) extends Serializable {
-  val maxColor: Int = if (s == 0) 0 else colors(0)
 
   def approxBytes: Long = {
     var b = 4L * (2 * s + 2)
@@ -27,16 +32,13 @@ final class ColorDag(
     while (i < s) { b += 4L * (out(i).length + und(i).length); i += 1 }
     b
   }
-}
-
-object ColorDag {
 
   /** Rule (2)'s test: whether the positions in `c` carry at least `need`
     * distinct colors. `c` is sorted and colors are non-increasing with
     * position, so each new color is a transition, and the scan stops at the
     * `need`-th one.
     */
-  def hasColors(c: Array[Int], colors: Array[Int], need: Int): Boolean = {
+  def hasColors(c: Array[Int], need: Int): Boolean = {
     var seen = 0
     var last = -1
     var i = 0
@@ -48,8 +50,80 @@ object ColorDag {
     seen >= need
   }
 
-  /** [[hasColors]] for a position set given as the bitset `c(0 until words)`. */
-  def hasColorsBits(c: Array[Long], words: Int, colors: Array[Int], need: Int): Boolean = {
+  /** Early termination (Section 5) of the branch on the positions `c` with
+    * `l` vertices left to pick: true iff the branch graph is a t-plex, in
+    * which case its l-cliques went to `sink`. `t` = 0 turns it off.
+    */
+  def tryEarlyTerminate(
+      c: Array[Int], l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean =
+    t > 0 && l >= 3 && listIfPlex(c, l, t, stack, sp, sink)
+
+  private def listIfPlex(
+      c: Array[Int], l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean = {
+    val rows = PlexListers.buildRowsIfPlex(und, c, t)
+    if (rows == null) return false
+    val verts = new Array[Int](c.length)
+    var i = 0
+    while (i < c.length) { verts(i) = toOuter(c(i)); i += 1 }
+    PlexListers.tryEarlyTerminate(stack, sp, verts, c.length, rows, l, t, sink)
+  }
+
+  /** The l = 1 base case: every position of `c` completes a clique. */
+  def emitSingles(c: Array[Int], stack: Array[Int], sp: Int, sink: CliqueSink): Unit =
+    if (!sink.wantsCliques) sink.onCount(c.length)
+    else {
+      var i = 0
+      while (i < c.length) { stack(sp) = toOuter(c(i)); sink.onClique(stack, sp + 1); i += 1 }
+    }
+
+  /** The l = 2 base case: every DAG edge inside `c` completes a clique. In
+    * counting mode the sink gets one count for the whole branch.
+    */
+  def emitPairs(c: Array[Int], stack: Array[Int], sp: Int, sink: CliqueSink): Unit = {
+    if (!sink.wantsCliques) {
+      var total = 0L
+      var i = 0
+      while (i < c.length) { total += IntArrays.intersectionSize(c, out(c(i))); i += 1 }
+      sink.onCount(total)
+      return
+    }
+    var i = 0
+    while (i < c.length) {
+      val u = c(i)
+      val cu = IntArrays.intersectSorted(c, out(u))
+      var j = 0
+      while (j < cu.length) {
+        stack(sp) = toOuter(u); stack(sp + 1) = toOuter(cu(j))
+        sink.onClique(stack, sp + 2)
+        j += 1
+      }
+      i += 1
+    }
+  }
+}
+
+/** [[ColorDag]] with `Long` bitset rows of `words` words each: the candidate
+  * representation of EBBkC-H's branch graphs (at most tau vertices) and of
+  * the SDegree/BitCol baselines. Candidate sets are bitsets over positions
+  * whose first `words` words are read.
+  */
+final class BitDag(
+    val s: Int,
+    val words: Int,
+    val outRows: Array[Array[Long]],
+    val undRows: Array[Array[Long]],
+    val colors: Array[Int],
+    val toOuter: Array[Int]
+) {
+
+  /** Sets `row` to the full position set `0 until s`. */
+  def fillAll(row: Array[Long]): Unit = {
+    var i = 0
+    while (i < words) { row(i) = if (i < (s >>> 6)) -1L else (1L << (s & 63)) - 1; i += 1 }
+  }
+
+  /** [[ColorDag#hasColors]] for the bitset `c`. */
+  def hasColors(c: Array[Long], need: Int): Boolean = {
     var seen = 0
     var last = -1
     var w = 0
@@ -65,34 +139,154 @@ object ColorDag {
     seen >= need
   }
 
-  /** Builds the DAG from adjacency lists over dense ids `0 until s`.
-    *
-    * @return the DAG plus `posOf`: dense id -> position (needed by callers
-    *         that must map pre-existing edge endpoints into position space)
-    */
-  def build(
-      adjLists: Array[Array[Int]],
-      colors: Array[Int],
-      toOuterIds: Array[Int]
-  ): (ColorDag, Array[Int]) = {
-    val s = adjLists.length
-    val order = new Array[Int](s) // position -> dense id
-    var i = 0
-    while (i < s) { order(i) = i; i += 1 }
-    // Sort by color descending, ties by id ascending.
-    val boxed = order.sortBy(v => (-colors(v), v))
-    val posOf = new Array[Int](s)
-    i = 0
-    while (i < s) { posOf(boxed(i)) = i; i += 1 }
+  /** [[ColorDag#tryEarlyTerminate]] for the bitset `c` of `cnt` positions. */
+  def tryEarlyTerminate(
+      c: Array[Long], cnt: Int, l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean =
+    t > 0 && l >= 3 && listIfPlex(c, cnt, l, t, stack, sp, sink)
 
+  private def listIfPlex(
+      c: Array[Long], cnt: Int, l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean = {
+    // Induced degree of each member by word AND, aborting at the first one
+    // below cnt - t: most branches fail on the first member scanned.
+    val minDeg = cnt - t
+    var w = 0
+    while (w < words) {
+      var bits = c(w)
+      while (bits != 0) {
+        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+        bits &= bits - 1
+        var d = 0
+        var ww = 0
+        while (ww < words) { d += java.lang.Long.bitCount(c(ww) & undRows(u)(ww)); ww += 1 }
+        if (d < minDeg) return false
+      }
+      w += 1
+    }
+    val members = new Array[Int](cnt)
+    var mi = 0
+    w = 0
+    while (w < words) {
+      var bits = c(w)
+      while (bits != 0) {
+        members(mi) = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+        bits &= bits - 1; mi += 1
+      }
+      w += 1
+    }
+    val rows = Array.ofDim[Long](cnt, (cnt + 63) >>> 6)
+    var i = 0
+    while (i < cnt) {
+      var j = i + 1
+      while (j < cnt) {
+        val a = members(i); val b = members(j)
+        if ((undRows(a)(b >>> 6) & (1L << (b & 63))) != 0) {
+          rows(i)(j >>> 6) |= 1L << (j & 63)
+          rows(j)(i >>> 6) |= 1L << (i & 63)
+        }
+        j += 1
+      }
+      i += 1
+    }
+    val verts = new Array[Int](cnt)
+    i = 0
+    while (i < cnt) { verts(i) = toOuter(members(i)); i += 1 }
+    PlexListers.tryEarlyTerminate(stack, sp, verts, cnt, rows, l, t, sink)
+  }
+
+  /** [[ColorDag#emitSingles]] for the bitset `c` of `cnt` positions. */
+  def emitSingles(c: Array[Long], cnt: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Unit = {
+    if (!sink.wantsCliques) { sink.onCount(cnt); return }
+    var w = 0
+    while (w < words) {
+      var bits = c(w)
+      while (bits != 0) {
+        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+        bits &= bits - 1
+        stack(sp) = toOuter(u); sink.onClique(stack, sp + 1)
+      }
+      w += 1
+    }
+  }
+
+  /** [[ColorDag#emitPairs]] for the bitset `c`: one popcount per member. */
+  def emitPairs(c: Array[Long], stack: Array[Int], sp: Int, sink: CliqueSink): Unit = {
+    val counting = !sink.wantsCliques
+    var total = 0L
+    var w = 0
+    while (w < words) {
+      var bits = c(w)
+      while (bits != 0) {
+        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+        bits &= bits - 1
+        var ww = 0
+        if (counting) {
+          while (ww < words) { total += java.lang.Long.bitCount(c(ww) & outRows(u)(ww)); ww += 1 }
+        } else {
+          while (ww < words) {
+            var bits2 = c(ww) & outRows(u)(ww)
+            while (bits2 != 0) {
+              val v = (ww << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
+              bits2 &= bits2 - 1
+              stack(sp) = toOuter(u); stack(sp + 1) = toOuter(v)
+              sink.onClique(stack, sp + 2)
+            }
+            ww += 1
+          }
+        }
+      }
+      w += 1
+    }
+    if (counting) sink.onCount(total)
+  }
+}
+
+/** The one builder of position-space DAGs. Inputs are adjacency lists over
+  * dense ids `0 until s` (rows in any order), a vertex order (position ->
+  * dense id), and `colors`/`toOuter` indexed by dense id.
+  */
+object ColorDag {
+
+  /** Dense ids by degree descending, ties by id ascending. */
+  def degreeOrder(adjL: Array[Array[Int]]): Array[Int] = {
+    val s = adjL.length
+    val deg = new Array[Int](s)
+    var i = 0
+    while (i < s) { deg(i) = adjL(i).length; i += 1 }
+    IntArrays.orderByKeyDesc(deg, s)
+  }
+
+  /** The local color order of Section 4.3: a greedy coloring in
+    * degree-descending order, then positions by color descending, ties by
+    * id ascending.
+    *
+    * @return (position -> dense id, color of each dense id)
+    */
+  def colorOrder(adjL: Array[Array[Int]]): (Array[Int], Array[Int]) = {
+    val colors = Coloring.greedyLocal(adjL, degreeOrder(adjL))
+    (IntArrays.orderByKeyDesc(colors, adjL.length), colors)
+  }
+
+  /** Inverse of `order`: dense id -> position. */
+  def positionsOf(order: Array[Int]): Array[Int] = {
+    val posOf = new Array[Int](order.length)
+    var p = 0
+    while (p < order.length) { posOf(order(p)) = p; p += 1 }
+    posOf
+  }
+
+  /** Sorted int rows; `colors` may be null. */
+  def build(
+      adjL: Array[Array[Int]], order: Array[Int], colors: Array[Int], toOuter: Array[Int]): ColorDag = {
+    val s = adjL.length
+    val posOf = positionsOf(order)
     val out = new Array[Array[Int]](s)
     val und = new Array[Array[Int]](s)
-    val cols = new Array[Int](s)
-    val toOuter = new Array[Int](s)
+    val posColors = if (colors == null) null else new Array[Int](s)
+    val posOuter = new Array[Int](s)
     var p = 0
     while (p < s) {
-      val v = boxed(p)
-      val nb = adjLists(v)
+      val v = order(p)
+      val nb = adjL(v)
       val undP = new Array[Int](nb.length)
       var j = 0
       while (j < nb.length) { undP(j) = posOf(nb(j)); j += 1 }
@@ -101,10 +295,40 @@ object ColorDag {
       var lo = 0
       while (lo < undP.length && undP(lo) <= p) lo += 1
       out(p) = java.util.Arrays.copyOfRange(undP, lo, undP.length)
-      cols(p) = colors(v)
-      toOuter(p) = toOuterIds(v)
+      if (colors != null) posColors(p) = colors(v)
+      posOuter(p) = toOuter(v)
       p += 1
     }
-    (new ColorDag(s, out, und, cols, toOuter), posOf)
+    new ColorDag(s, out, und, posColors, posOuter)
+  }
+
+  /** Bitset rows, written straight from the adjacency lists; `colors` may be
+    * null.
+    */
+  def buildBits(
+      adjL: Array[Array[Int]], order: Array[Int], colors: Array[Int], toOuter: Array[Int]): BitDag = {
+    val s = adjL.length
+    val posOf = positionsOf(order)
+    val words = (s + 63) >>> 6
+    val outRows = Array.ofDim[Long](s, words)
+    val undRows = Array.ofDim[Long](s, words)
+    val posColors = if (colors == null) null else new Array[Int](s)
+    val posOuter = new Array[Int](s)
+    var p = 0
+    while (p < s) {
+      val v = order(p)
+      val nb = adjL(v)
+      var j = 0
+      while (j < nb.length) {
+        val q = posOf(nb(j))
+        undRows(p)(q >>> 6) |= 1L << (q & 63)
+        if (q > p) outRows(p)(q >>> 6) |= 1L << (q & 63)
+        j += 1
+      }
+      if (colors != null) posColors(p) = colors(v)
+      posOuter(p) = toOuter(v)
+      p += 1
+    }
+    new BitDag(s, words, outRows, undRows, posColors, posOuter)
   }
 }

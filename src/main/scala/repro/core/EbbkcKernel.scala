@@ -37,18 +37,12 @@ object EbbkcPrep {
   def build(g: LocalGraph, k: Int, cfg: EbbkcAlgo): EbbkcPrep = cfg.ordering match {
     case TrussOrdering | HybridOrdering =>
       val truss = TrussDecomposition.run(g)
-      val etT = cfg.et match {
-        case EtOff      => 0
-        case EtFixed(t) => t
-        // The paper's rule: t = 2 for k <= tau/2, t = 3 for larger k.
-        case EtAuto     => if (k <= truss.tau / 2) 2 else 3
-      }
-      new EbbkcPrep(g, k, cfg, truss, null, null, null, etT)
+      new EbbkcPrep(g, k, cfg, truss, null, null, null, cfg.et.threshold(k, Some(truss.tau)))
     case ColorOrdering =>
       val colors = Coloring.inverseDegeneracy(g)
-      val adjLists = Array.tabulate(g.n)(g.neighborsOf)
-      val ids = Array.tabulate(g.n)(identity)
-      val (dag, posOf) = ColorDag.build(adjLists, colors, ids)
+      val order = IntArrays.orderByKeyDesc(colors, g.n)
+      val dag = ColorDag.build(Array.tabulate(g.n)(g.neighborsOf), order, colors, Array.tabulate(g.n)(identity))
+      val posOf = ColorDag.positionsOf(order)
       val cEU = new Array[Int](g.m)
       val cEV = new Array[Int](g.m)
       var e = 0
@@ -57,12 +51,7 @@ object EbbkcPrep {
         cEU(e) = math.min(pu, pv); cEV(e) = math.max(pu, pv)
         e += 1
       }
-      val etT = cfg.et match {
-        case EtOff      => 0
-        case EtFixed(t) => t
-        case EtAuto     => 3 // tau not computed under the pure color ordering
-      }
-      new EbbkcPrep(g, k, cfg, null, dag, cEU, cEV, etT)
+      new EbbkcPrep(g, k, cfg, null, dag, cEU, cEV, cfg.et.threshold(k, None))
   }
 }
 
@@ -75,15 +64,21 @@ object EbbkcPrep {
   *
   * Hybrid path (EBBkC-H, Algorithm 5): the initial branch uses the truss
   * ordering; each resulting subgraph is colored and branched as a local
-  * [[ColorDag]] with both color pruning rules.
+  * [[BitDag]] with both color pruning rules.
   *
-  * Color path (EBBkC-C, Algorithm 4): one global color DAG; each edge
+  * Color path (EBBkC-C, Algorithm 4): one global [[ColorDag]]; each edge
   * subproblem intersects common out-neighborhoods.
+  *
+  * The two color recursions pick a directed edge (u -> v), intersect common
+  * out-neighborhoods and apply the pruning rules of Section 4.3. Uniqueness
+  * follows from the DAG orientation: each l-clique is generated from its two
+  * smallest positions.
   */
 final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   private val g = prep.g
   private val k = prep.k
   private val cfg = prep.cfg
+  private val rule2 = cfg.rule2
   private val etT = prep.etT
   private val rank: Array[Int] = if (prep.truss != null) prep.truss.edgeRank else null
 
@@ -184,18 +179,19 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     out
   }
 
-  // ------------------------------------------------------------ EBBkC-T body
-
-  /** Algorithm 3's recursion: branch on every edge of the current graph in
-    * pi_tau order; each sub-branch keeps only later-ranked structure.
+  /** The leaf work of a truss-level branch graph (verts, edges(0 until ne)),
+    * shared by EBBkC-T's recursion and EBBkC-H's top level: the size check,
+    * the ET probe on the edge list, and the l = 1 / l = 2 base cases.
+    * Returns true iff the branch needs no further branching.
     */
-  private def recT(verts: Array[Int], edges: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
-    if (verts.length < l) return
+  private def finishTrussBranch(
+      verts: Array[Int], edges: Array[Int], ne: Int, l: Int, sp: Int, sink: CliqueSink): Boolean = {
+    if (verts.length < l) return true
     if (etT > 0 && l >= 3) {
-      val rows = rowsFromEdgesIfPlex(verts, edges, edges.length)
+      val rows = rowsFromEdgesIfPlex(verts, edges, ne)
       if (rows != null &&
           PlexListers.tryEarlyTerminate(stack, sp, verts, verts.length, rows, l, etT, sink))
-        return
+        return true
     }
     if (l == 1) {
       if (!sink.wantsCliques) sink.onCount(verts.length)
@@ -203,21 +199,70 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
         var i = 0
         while (i < verts.length) { stack(sp) = verts(i); sink.onClique(stack, sp + 1); i += 1 }
       }
-      return
+      return true
     }
     if (l == 2) {
-      if (!sink.wantsCliques) sink.onCount(edges.length)
+      if (!sink.wantsCliques) sink.onCount(ne)
       else {
         var i = 0
-        while (i < edges.length) {
+        while (i < ne) {
           val f = edges(i)
           stack(sp) = g.edgeU(f); stack(sp + 1) = g.edgeV(f)
           sink.onClique(stack, sp + 2)
           i += 1
         }
       }
-      return
+      return true
     }
+    false
+  }
+
+  /** Maps `verts` to local ids `0 until verts.length` in `localIdx` and
+    * returns each one's degree in the branch graph (verts, edges(0 until ne)).
+    */
+  private def localDegrees(verts: Array[Int], edges: Array[Int], ne: Int): Array[Int] = {
+    var i = 0
+    while (i < verts.length) { localIdx(verts(i)) = i; i += 1 }
+    val deg = new Array[Int](verts.length)
+    i = 0
+    while (i < ne) {
+      val f = edges(i)
+      deg(localIdx(g.edgeU(f))) += 1; deg(localIdx(g.edgeV(f))) += 1
+      i += 1
+    }
+    deg
+  }
+
+  /** Bitset adjacency of the branch graph (verts, edges(0 until ne)) for the
+    * ET check, or null if the branch graph is not a t-plex (degrees checked
+    * first in one O(|E| + |V|) pass so the common sparse case skips the
+    * matrix).
+    */
+  private def rowsFromEdgesIfPlex(verts: Array[Int], edges: Array[Int], ne: Int): Array[Array[Long]] = {
+    val nv = verts.length
+    val degs = localDegrees(verts, edges, ne)
+    val minDeg = nv - etT
+    var i = 0
+    while (i < nv) { if (degs(i) < minDeg) return null; i += 1 }
+    val rows = Array.ofDim[Long](nv, (nv + 63) >>> 6)
+    i = 0
+    while (i < ne) {
+      val f = edges(i)
+      val a = localIdx(g.edgeU(f)); val b = localIdx(g.edgeV(f))
+      rows(a)(b >>> 6) |= 1L << (b & 63)
+      rows(b)(a >>> 6) |= 1L << (a & 63)
+      i += 1
+    }
+    rows
+  }
+
+  // ------------------------------------------------------------ EBBkC-T body
+
+  /** Algorithm 3's recursion: branch on every edge of the current graph in
+    * pi_tau order; each sub-branch keeps only later-ranked structure.
+    */
+  private def recT(verts: Array[Int], edges: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
+    if (finishTrussBranch(verts, edges, edges.length, l, sp, sink)) return
     var i = 0
     while (i < edges.length) {
       val f = edges(i)
@@ -262,40 +307,6 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     }
   }
 
-  /** Bitset adjacency of the branch graph (verts, edges(0 until ne)) for the
-    * ET check, or null if the branch graph is not a t-plex (degrees checked
-    * first in one O(|E| + |V|) pass so the common sparse case skips the
-    * matrix).
-    */
-  private def rowsFromEdgesIfPlex(verts: Array[Int], edges: Array[Int], ne: Int): Array[Array[Long]] = {
-    val nv = verts.length
-    stamp += 1
-    var i = 0
-    while (i < nv) { stampOf(verts(i)) = stamp; localIdx(verts(i)) = i; i += 1 }
-    val degs = new Array[Int](nv)
-    i = 0
-    while (i < ne) {
-      val f = edges(i)
-      degs(localIdx(g.edgeU(f))) += 1
-      degs(localIdx(g.edgeV(f))) += 1
-      i += 1
-    }
-    val minDeg = nv - etT
-    i = 0
-    while (i < nv) { if (degs(i) < minDeg) return null; i += 1 }
-    val words = (nv + 63) >>> 6
-    val rows = Array.ofDim[Long](nv, words)
-    i = 0
-    while (i < ne) {
-      val f = edges(i)
-      val a = localIdx(g.edgeU(f)); val b = localIdx(g.edgeV(f))
-      rows(a)(b >>> 6) |= 1L << (b & 63)
-      rows(b)(a >>> 6) |= 1L << (a & 63)
-      i += 1
-    }
-    rows
-  }
-
   // ------------------------------------------------------------ EBBkC-H body
 
   /** Algorithm 5: color the truss-level branch graph and hand it to the
@@ -304,47 +315,11 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     */
   private def runHybridBranch(
       verts: Array[Int], edges: Array[Int], ne: Int, l0: Int, sink: CliqueSink): Unit = {
-    if (etT > 0 && l0 >= 3 && verts.length >= l0) {
-      val rows = rowsFromEdgesIfPlex(verts, edges, ne)
-      if (rows != null &&
-          PlexListers.tryEarlyTerminate(stack, 2, verts, verts.length, rows, l0, etT, sink))
-        return
-    }
-    if (l0 == 1) {
-      if (!sink.wantsCliques) sink.onCount(verts.length)
-      else {
-        var i = 0
-        while (i < verts.length) { stack(2) = verts(i); sink.onClique(stack, 3); i += 1 }
-      }
-      return
-    }
-    if (l0 == 2) {
-      if (!sink.wantsCliques) sink.onCount(ne)
-      else {
-        var i = 0
-        while (i < ne) {
-          val f = edges(i)
-          stack(2) = g.edgeU(f); stack(3) = g.edgeV(f)
-          sink.onClique(stack, 4)
-          i += 1
-        }
-      }
-      return
-    }
-    // Relabel the branch graph to dense local ids and color it.
+    if (finishTrussBranch(verts, edges, ne, l0, 2, sink)) return
     val s = verts.length
-    stamp += 1
-    var i = 0
-    while (i < s) { stampOf(verts(i)) = stamp; localIdx(verts(i)) = i; i += 1 }
-    val deg = new Array[Int](s)
-    i = 0
-    while (i < ne) {
-      val f = edges(i)
-      deg(localIdx(g.edgeU(f))) += 1; deg(localIdx(g.edgeV(f))) += 1
-      i += 1
-    }
+    val deg = localDegrees(verts, edges, ne)
     val adjL = new Array[Array[Int]](s)
-    i = 0
+    var i = 0
     while (i < s) { adjL(i) = new Array[Int](deg(i)); i += 1 }
     val cursor = new Array[Int](s)
     i = 0
@@ -355,183 +330,34 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       adjL(b)(cursor(b)) = a; cursor(b) += 1
       i += 1
     }
-    i = 0
-    while (i < s) { java.util.Arrays.sort(adjL(i)); i += 1 }
-    val colors = Coloring.greedyLocal(adjL, IntArrays.orderByKeyDesc(deg, s))
-    // Relabel into color-desc position space and run the word-parallel
-    // DAG recursion: branch graphs are bounded by tau, so candidate sets fit
-    // a handful of words — the same data-level parallelism BitCol enjoys.
-    val order = IntArrays.orderByKeyDesc(colors, s)
-    val posOf = new Array[Int](s)
-    i = 0
-    while (i < s) { posOf(order(i)) = i; i += 1 }
-    val words = (s + 63) >>> 6
-    val outRows = Array.ofDim[Long](s, words)
-    val undRows = Array.ofDim[Long](s, words)
-    val posColors = new Array[Int](s)
-    val toOuterPos = new Array[Int](s)
-    var p = 0
-    while (p < s) {
-      val v = order(p)
-      posColors(p) = colors(v)
-      toOuterPos(p) = verts(v)
-      val nb = adjL(v)
-      var j = 0
-      while (j < nb.length) {
-        val q = posOf(nb(j))
-        undRows(p)(q >>> 6) |= 1L << (q & 63)
-        if (q > p) outRows(p)(q >>> 6) |= 1L << (q & 63)
-        j += 1
-      }
-      p += 1
-    }
-    if (cuRows(0).length < words) {
+    // Branch graphs are bounded by tau, so candidate sets fit a handful of
+    // words — the same data-level parallelism BitCol enjoys.
+    val (order, colors) = ColorDag.colorOrder(adjL)
+    val dag = ColorDag.buildBits(adjL, order, colors, verts)
+    if (cuRows(0).length < dag.words) {
       i = 0
-      while (i < cuRows.length) { cuRows(i) = new Array[Long](words); c2Rows(i) = new Array[Long](words); i += 1 }
+      while (i < cuRows.length) {
+        cuRows(i) = new Array[Long](dag.words); c2Rows(i) = new Array[Long](dag.words); i += 1
+      }
     }
     val full = c2Rows(0)
-    i = 0
-    while (i < words) { full(i) = if (i < (s >>> 6)) -1L else (1L << (s & 63)) - 1; i += 1 }
-    val runner = new ColorBitRunner(
-      words, outRows, undRows, posColors, toOuterPos, cfg.rule2, etT, stack, cuRows, c2Rows)
-    runner.run(full, s, l0, 2, etHere = false, sink)
+    dag.fillAll(full)
+    recH(dag, full, s, l0, 2, etHere = false, sink)
   }
 
-  // ------------------------------------------------------------ EBBkC-C body
-
-  /** Algorithm 4: one edge of the global color DAG per subproblem, with both
-    * pruning rules applied before descending.
+  /** Word-parallel edge branching over the branch graph's [[BitDag]]. The
+    * candidate sets of the branch at stack depth sp live in `cuRows(sp / 2)`
+    * and `c2Rows(sp / 2)`, each at least `dag.words` long.
     */
-  private def runColorSub(e: Int, sink: CliqueSink): Unit = {
-    val dag = prep.cdag
-    val u = prep.cEdgeU(e); val v = prep.cEdgeV(e)
-    val l0 = k - 2
-    // Rule (1) at the initial branch (l = k).
-    if (dag.colors(u) < k || dag.colors(v) < k - 1) return
-    val c0 = IntArrays.intersectSorted(dag.out(u), dag.out(v))
-    if (c0.length < l0) return
-    stack(0) = dag.toOuter(u); stack(1) = dag.toOuter(v)
-    if (cfg.rule2 && !ColorDag.hasColors(c0, dag.colors, l0)) return // Rule (2)
-    new ColorBranchRunner(dag, cfg.rule2, etT, stack).run(c0, l0, 2, etHere = true, sink)
-  }
-}
-
-/** Word-parallel edge-oriented branching over a small color DAG in position
-  * space — the EBBkC-H inner kernel. Identical semantics to
-  * [[ColorBranchRunner]] (Rules 1 & 2, ET, DAG uniqueness) with candidate
-  * sets as `Long` bitsets, viable because hybrid branch graphs are bounded
-  * by tau vertices. The candidate sets of the branch at stack depth sp live
-  * in the caller's `cuRows(sp / 2)` and `c2Rows(sp / 2)`, each at least
-  * `words` long.
-  */
-final class ColorBitRunner(
-    words: Int,
-    outRows: Array[Array[Long]],
-    undRows: Array[Array[Long]],
-    colors: Array[Int],
-    toOuter: Array[Int],
-    rule2: Boolean,
-    etT: Int,
-    stack: Array[Int],
-    cuRows: Array[Array[Long]],
-    c2Rows: Array[Array[Long]]
-) {
-
-  /** ET probe with early abort on the induced-degree scan. */
-  private def tryEt(c: Array[Long], cnt: Int, l: Int, sp: Int, sink: CliqueSink): Boolean = {
-    val minDeg = cnt - etT
-    var w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        var d = 0
-        var ww = 0
-        while (ww < words) { d += java.lang.Long.bitCount(c(ww) & undRows(u)(ww)); ww += 1 }
-        if (d < minDeg) return false
-      }
-      w += 1
-    }
-    val members = new Array[Int](cnt)
-    var mi = 0
-    w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        members(mi) = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1; mi += 1
-      }
-      w += 1
-    }
-    val cw = (cnt + 63) >>> 6
-    val rows = Array.ofDim[Long](cnt, cw)
-    var i = 0
-    while (i < cnt) {
-      var j = i + 1
-      while (j < cnt) {
-        val a = members(i); val b = members(j)
-        if ((undRows(a)(b >>> 6) & (1L << (b & 63))) != 0) {
-          rows(i)(j >>> 6) |= 1L << (j & 63)
-          rows(j)(i >>> 6) |= 1L << (i & 63)
-        }
-        j += 1
-      }
-      i += 1
-    }
-    val verts = new Array[Int](cnt)
-    i = 0
-    while (i < cnt) { verts(i) = toOuter(members(i)); i += 1 }
-    PlexListers.tryEarlyTerminate(stack, sp, verts, cnt, rows, l, etT, sink)
-  }
-
-  def run(c: Array[Long], cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
+  private def recH(
+      dag: BitDag, c: Array[Long], cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
     if (cnt < l) return
-    if (etHere && etT > 0 && l >= 3 && tryEt(c, cnt, l, sp, sink)) return
-    if (l == 1) {
-      if (!sink.wantsCliques) { sink.onCount(cnt); return }
-      var w = 0
-      while (w < words) {
-        var bits = c(w)
-        while (bits != 0) {
-          val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-          bits &= bits - 1
-          stack(sp) = toOuter(u); sink.onClique(stack, sp + 1)
-        }
-        w += 1
-      }
-      return
-    }
-    if (l == 2) {
-      val counting = !sink.wantsCliques
-      var total = 0L
-      var w = 0
-      while (w < words) {
-        var bits = c(w)
-        while (bits != 0) {
-          val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-          bits &= bits - 1
-          var ww = 0
-          if (counting) {
-            while (ww < words) { total += java.lang.Long.bitCount(c(ww) & outRows(u)(ww)); ww += 1 }
-          } else {
-            while (ww < words) {
-              var bits2 = c(ww) & outRows(u)(ww)
-              while (bits2 != 0) {
-                val v = (ww << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
-                bits2 &= bits2 - 1
-                stack(sp) = toOuter(u); stack(sp + 1) = toOuter(v)
-                sink.onClique(stack, sp + 2)
-              }
-              ww += 1
-            }
-          }
-        }
-        w += 1
-      }
-      if (counting) sink.onCount(total)
-      return
-    }
+    if (etHere && dag.tryEarlyTerminate(c, cnt, l, etT, stack, sp, sink)) return
+    if (l == 1) { dag.emitSingles(c, cnt, stack, sp, sink); return }
+    if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
+    val words = dag.words
+    val outRows = dag.outRows
+    val colors = dag.colors
     val cu = cuRows(sp >>> 1)
     val c2 = c2Rows(sp >>> 1)
     var w = 0
@@ -559,9 +385,9 @@ final class ColorBitRunner(
                 cnt2 += java.lang.Long.bitCount(c2(w3))
                 w3 += 1
               }
-              if (cnt2 >= l - 2 && (!rule2 || ColorDag.hasColorsBits(c2, words, colors, l - 2))) {
-                stack(sp) = toOuter(u); stack(sp + 1) = toOuter(v)
-                run(c2, cnt2, l - 2, sp + 2, etHere = true, sink)
+              if (cnt2 >= l - 2 && (!rule2 || dag.hasColors(c2, l - 2))) {
+                stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
+                recH(dag, c2, cnt2, l - 2, sp + 2, etHere = true, sink)
               }
             }
           }
@@ -571,62 +397,31 @@ final class ColorBitRunner(
       w += 1
     }
   }
-}
 
-/** Branching over a [[ColorDag]] (shared by EBBkC-C and EBBkC-H): picks a
-  * directed edge (u -> v), intersects common out-neighborhoods, and applies
-  * the two color pruning rules of Section 4.3. Uniqueness follows from the
-  * DAG orientation — each l-clique is generated from its two smallest
-  * positions.
-  */
-final class ColorBranchRunner(
-    dag: ColorDag,
-    rule2: Boolean,
-    etT: Int,
-    stack: Array[Int]
-) {
+  // ------------------------------------------------------------ EBBkC-C body
 
-  def run(c: Array[Int], l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
+  /** Algorithm 4: one edge of the global color DAG per subproblem, with both
+    * pruning rules applied before descending.
+    */
+  private def runColorSub(e: Int, sink: CliqueSink): Unit = {
+    val dag = prep.cdag
+    val u = prep.cEdgeU(e); val v = prep.cEdgeV(e)
+    val l0 = k - 2
+    // Rule (1) at the initial branch (l = k).
+    if (dag.colors(u) < k || dag.colors(v) < k - 1) return
+    val c0 = IntArrays.intersectSorted(dag.out(u), dag.out(v))
+    if (c0.length < l0) return
+    stack(0) = dag.toOuter(u); stack(1) = dag.toOuter(v)
+    if (rule2 && !dag.hasColors(c0, l0)) return // Rule (2)
+    recC(dag, c0, l0, 2, sink)
+  }
+
+  /** Edge branching over the global [[ColorDag]] on sorted position arrays. */
+  private def recC(dag: ColorDag, c: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
     if (c.length < l) return
-    if (etHere && etT > 0 && l >= 3 && c.length >= l) {
-      val rows = PlexListers.buildRowsIfPlex(dag.und, c, etT)
-      if (rows != null) {
-        val verts = new Array[Int](c.length)
-        var i = 0
-        while (i < c.length) { verts(i) = dag.toOuter(c(i)); i += 1 }
-        if (PlexListers.tryEarlyTerminate(stack, sp, verts, c.length, rows, l, etT, sink)) return
-      }
-    }
-    if (l == 1) {
-      if (!sink.wantsCliques) sink.onCount(c.length)
-      else {
-        var i = 0
-        while (i < c.length) { stack(sp) = dag.toOuter(c(i)); sink.onClique(stack, sp + 1); i += 1 }
-      }
-      return
-    }
-    if (l == 2) {
-      if (!sink.wantsCliques) {
-        var total = 0L
-        var i = 0
-        while (i < c.length) { total += IntArrays.intersectionSize(c, dag.out(c(i))); i += 1 }
-        sink.onCount(total)
-        return
-      }
-      var i = 0
-      while (i < c.length) {
-        val u = c(i)
-        val cu = IntArrays.intersectSorted(c, dag.out(u))
-        var j = 0
-        while (j < cu.length) {
-          stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(cu(j))
-          sink.onClique(stack, sp + 2)
-          j += 1
-        }
-        i += 1
-      }
-      return
-    }
+    if (dag.tryEarlyTerminate(c, l, etT, stack, sp, sink)) return
+    if (l == 1) { dag.emitSingles(c, stack, sp, sink); return }
+    if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
     var ui = 0
     while (ui < c.length) {
       val u = c(ui)
@@ -639,9 +434,9 @@ final class ColorBranchRunner(
         if (dag.colors(v) < l - 1) continueInner = false // Rule (1b)
         else {
           val c2 = IntArrays.intersectSorted(cu, dag.out(v))
-          if (c2.length >= l - 2 && (!rule2 || ColorDag.hasColors(c2, dag.colors, l - 2))) {
+          if (c2.length >= l - 2 && (!rule2 || dag.hasColors(c2, l - 2))) {
             stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
-            run(c2, l - 2, sp + 2, etHere = true, sink)
+            recC(dag, c2, l - 2, sp + 2, sink)
           }
         }
         vi += 1

@@ -68,7 +68,8 @@ object KCliqueSpark {
           .mapPartitions { it =>
             val kernel = bc.value.newKernel()
             val ids = bcIds.value
-            val buf = scala.collection.mutable.ArrayBuffer.empty[Seq[Long]]
+            // One subproblem's cliques at a time, not the whole partition's.
+            var buf = scala.collection.mutable.ArrayBuffer.empty[Seq[Long]]
             val sink = new CliqueSink {
               override def wantsCliques: Boolean = true
               override def onClique(stack: Array[Int], len: Int): Unit = {
@@ -81,8 +82,11 @@ object KCliqueSpark {
               override def onCount(c: Long): Unit =
                 throw new IllegalStateException("listing run must materialize cliques")
             }
-            it.foreach(id => kernel.run(id.toInt, sink))
-            buf.iterator
+            it.flatMap { id =>
+              buf = scala.collection.mutable.ArrayBuffer.empty[Seq[Long]]
+              kernel.run(id.toInt, sink)
+              buf
+            }
           }
     rows.toDF("clique").selectExpr((1 to k).map(i => s"clique[${i - 1}] as v$i"): _*)
   }

@@ -63,17 +63,17 @@ object PlexListers {
     * abort is what keeps the ET probe at the paper's O(|V(g)|)-flavored
     * cost instead of a full matrix build per branch.
     *
-    * @param listOf sorted neighbor list (same id space as `c`'s elements)
+    * @param und sorted neighbor lists (same id space as `c`'s elements)
     * @return rows over local indices, or null if not a t-plex
     */
-  def buildRowsIfPlex(listOf: Int => Array[Int], c: Array[Int], t: Int): Array[Array[Long]] = {
+  def buildRowsIfPlex(und: Array[Array[Int]], c: Array[Int], t: Int): Array[Array[Long]] = {
     val nv = c.length
     val minDeg = nv - t
     val words = (nv + 63) >>> 6
     val rows = Array.ofDim[Long](nv, words)
     var i = 0
     while (i < nv) {
-      val nb = listOf(c(i))
+      val nb = und(c(i))
       val row = rows(i)
       var d = 0
       var a = 0; var b = 0

@@ -6,8 +6,8 @@ import org.apache.spark.sql.functions._
 /** Triangle enumeration and per-edge support in pure Catalyst.
   *
   * This is the DataFrame realization of the "triangle-based expansion over
-  * edges" that underpins the edge-oriented framework: the distributed truss
-  * pipeline ([[TrussDF]]) derives edge supports from it, and tests verify it
+  * edges" that underpins the edge-oriented framework: per-edge supports are
+  * the input of truss peeling, and tests verify them and the triangles
   * row-for-row against the DuckDB oracle.
   */
 object TriangleDF {

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import repro.order.{Coloring, CoreDecomposition}
+import repro.order.CoreDecomposition
 
 /** Prepared state for the vertex-oriented baselines (Section 3 / 7).
   *
@@ -29,12 +29,7 @@ object VbbkcPrep {
     val core = CoreDecomposition.run(g)
     val gRel = g.relabel(core.rank)
     val coreness = Array.tabulate(g.n)(r => core.coreness(core.order(r)))
-    val etT = cfg.et match {
-      case EtOff      => 0
-      case EtFixed(t) => t
-      case EtAuto     => 3
-    }
-    new VbbkcPrep(gRel, core.order, coreness, k, cfg, etT)
+    new VbbkcPrep(gRel, core.order, coreness, k, cfg, cfg.et.threshold(k, None))
   }
 }
 
@@ -52,6 +47,8 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
   private val cfg = prep.cfg
   private val etT = prep.etT
   private val useColor = cfg.sub == SubColor
+  // Rule (2) applies only under the color sub-ordering.
+  private val colorRule2 = cfg.rule2 && useColor
 
   private val stack = new Array[Int](k)
   private val stampOf = new Array[Int](g.n)
@@ -109,6 +106,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
     var i = 0
     while (i < s) { stampOf(cands(i)) = stamp; localIdx(cands(i)) = i; i += 1 }
     val adjL = new Array[Array[Int]](s)
+    val outer = new Array[Int](s)
     i = 0
     while (i < s) {
       val a = cands(i)
@@ -121,124 +119,44 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
         p += 1
       }
       adjL(i) = java.util.Arrays.copyOf(buf, nb)
-      java.util.Arrays.sort(adjL(i))
+      outer(i) = prep.toGlobal(a)
       i += 1
     }
     // Sub-strategy ordering of the local subgraph.
-    val degs = Array.tabulate(s)(adjL(_).length)
     val (order, colors) = cfg.sub match {
       case SubNatural => (Array.tabulate(s)(identity), null)
-      case SubDegree  => (IntArrays.orderByKeyDesc(degs, s), null)
-      case SubColor =>
-        val cols = Coloring.greedyLocal(adjL, IntArrays.orderByKeyDesc(degs, s))
-        (IntArrays.orderByKeyDesc(cols, s), cols)
+      case SubDegree  => (ColorDag.degreeOrder(adjL), null)
+      case SubColor   => ColorDag.colorOrder(adjL)
     }
-    val posOf = new Array[Int](s)
-    i = 0
-    while (i < s) { posOf(order(i)) = i; i += 1 }
-    val und = new Array[Array[Int]](s)
-    val out = new Array[Array[Int]](s)
-    val posColors = if (colors == null) null else new Array[Int](s)
-    val toOuter = new Array[Int](s)
-    var p2 = 0
-    while (p2 < s) {
-      val v = order(p2)
-      val nb = adjL(v)
-      val undP = new Array[Int](nb.length)
-      var j = 0
-      while (j < nb.length) { undP(j) = posOf(nb(j)); j += 1 }
-      java.util.Arrays.sort(undP)
-      und(p2) = undP
-      var lo = 0
-      while (lo < undP.length && undP(lo) <= p2) lo += 1
-      out(p2) = java.util.Arrays.copyOfRange(undP, lo, undP.length)
-      if (posColors != null) posColors(p2) = colors(v)
-      toOuter(p2) = prep.toGlobal(cands(v))
-      p2 += 1
-    }
-    val all = Array.tabulate(s)(identity)
     if (cfg.bitset) {
-      val words = (s + 63) >>> 6
-      val outRows = Array.ofDim[Long](s, words)
-      val undRows = Array.ofDim[Long](s, words)
-      i = 0
-      while (i < s) {
-        var j = 0
-        while (j < out(i).length) { val b = out(i)(j); outRows(i)(b >>> 6) |= 1L << (b & 63); j += 1 }
-        j = 0
-        while (j < und(i).length) { val b = und(i)(j); undRows(i)(b >>> 6) |= 1L << (b & 63); j += 1 }
-        i += 1
-      }
-      if (cRows(0).length < words) {
+      val dag = ColorDag.buildBits(adjL, order, colors, outer)
+      if (cRows(0).length < dag.words) {
         i = 0
-        while (i < cRows.length) { cRows(i) = new Array[Long](words); i += 1 }
+        while (i < cRows.length) { cRows(i) = new Array[Long](dag.words); i += 1 }
       }
       val full = cRows(sp - 1)
-      i = 0
-      while (i < words) { full(i) = if (i < (s >>> 6)) -1L else (1L << (s & 63)) - 1; i += 1 }
-      recBits(full, s, l0, sp, outRows, undRows, posColors, toOuter, words, sink)
+      dag.fillAll(full)
+      recBits(dag, full, s, l0, sp, sink)
     } else {
-      recArr(all, l0, sp, out, und, posColors, toOuter, sink)
+      recArr(ColorDag.build(adjL, order, colors, outer), Array.tabulate(s)(identity), l0, sp, sink)
     }
   }
 
   // ------------------------------------------------------------ array kernel
 
-  private def recArr(
-      c: Array[Int], l: Int, sp: Int,
-      out: Array[Array[Int]], und: Array[Array[Int]],
-      posColors: Array[Int], toOuter: Array[Int], sink: CliqueSink
-  ): Unit = {
+  private def recArr(dag: ColorDag, c: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
     if (c.length < l) return
-    if (etT > 0 && l >= 3) {
-      val rows = PlexListers.buildRowsIfPlex(und(_), c, etT)
-      if (rows != null) {
-        val nv = c.length
-        val verts = new Array[Int](nv)
-        var i = 0
-        while (i < nv) { verts(i) = toOuter(c(i)); i += 1 }
-        if (PlexListers.tryEarlyTerminate(stack, sp, verts, nv, rows, l, etT, sink)) return
-      }
-    }
-    if (l == 1) {
-      if (!sink.wantsCliques) sink.onCount(c.length)
-      else {
-        var i = 0
-        while (i < c.length) { stack(sp) = toOuter(c(i)); sink.onClique(stack, sp + 1); i += 1 }
-      }
-      return
-    }
-    if (l == 2) {
-      if (!sink.wantsCliques) {
-        var total = 0L
-        var i = 0
-        while (i < c.length) { total += IntArrays.intersectionSize(c, out(c(i))); i += 1 }
-        sink.onCount(total)
-        return
-      }
-      var i = 0
-      while (i < c.length) {
-        val u = c(i)
-        val cu = IntArrays.intersectSorted(c, out(u))
-        var j = 0
-        while (j < cu.length) {
-          stack(sp) = toOuter(u); stack(sp + 1) = toOuter(cu(j))
-          sink.onClique(stack, sp + 2)
-          j += 1
-        }
-        i += 1
-      }
-      return
-    }
+    if (dag.tryEarlyTerminate(c, l, etT, stack, sp, sink)) return
+    if (l == 1) { dag.emitSingles(c, stack, sp, sink); return }
+    if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
     var i = 0
     while (i < c.length) {
       val u = c(i)
-      if (useColor && posColors(u) < l) return // color pruning; colors non-increasing
-      val cu = IntArrays.intersectSorted(c, out(u))
-      if (cu.length >= l - 1 &&
-          (!cfg.rule2 || !useColor || ColorDag.hasColors(cu, posColors, l - 1))) {
-        stack(sp) = toOuter(u)
-        recArr(cu, l - 1, sp + 1, out, und, posColors, toOuter, sink)
+      if (useColor && dag.colors(u) < l) return // color pruning; colors non-increasing
+      val cu = IntArrays.intersectSorted(c, dag.out(u))
+      if (cu.length >= l - 1 && (!colorRule2 || dag.hasColors(cu, l - 1))) {
+        stack(sp) = dag.toOuter(u)
+        recArr(dag, cu, l - 1, sp + 1, sink)
       }
       i += 1
     }
@@ -246,108 +164,13 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
 
   // ----------------------------------------------------------- bitset kernel
 
-  private def recBits(
-      c: Array[Long], cCount: Int, l: Int, sp: Int,
-      outRows: Array[Array[Long]], undRows: Array[Array[Long]],
-      posColors: Array[Int], toOuter: Array[Int], words: Int, sink: CliqueSink
-  ): Unit = {
-    if (cCount < l) return
-    if (etT > 0 && l >= 3) {
-      // Cheap pre-check with early abort: induced degree of each member via
-      // word AND; most branches fail on the first member scanned.
-      var plex = true
-      val minDeg = cCount - etT
-      var w = 0
-      while (w < words && plex) {
-        var bits = c(w)
-        while (bits != 0 && plex) {
-          val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-          bits &= bits - 1
-          var d = 0
-          var ww = 0
-          while (ww < words) { d += java.lang.Long.bitCount(c(ww) & undRows(u)(ww)); ww += 1 }
-          if (d < minDeg) plex = false
-        }
-        w += 1
-      }
-      if (plex) {
-        val members = new Array[Int](cCount)
-        var mi = 0
-        w = 0
-        while (w < words) {
-          var bits = c(w)
-          while (bits != 0) {
-            members(mi) = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-            bits &= bits - 1
-            mi += 1
-          }
-          w += 1
-        }
-        val cw = (cCount + 63) >>> 6
-        val rows = Array.ofDim[Long](cCount, cw)
-        var i = 0
-        while (i < cCount) {
-          var j = i + 1
-          while (j < cCount) {
-            val a = members(i); val b = members(j)
-            if ((undRows(a)(b >>> 6) & (1L << (b & 63))) != 0) {
-              rows(i)(j >>> 6) |= 1L << (j & 63)
-              rows(j)(i >>> 6) |= 1L << (i & 63)
-            }
-            j += 1
-          }
-          i += 1
-        }
-        val verts = new Array[Int](cCount)
-        i = 0
-        while (i < cCount) { verts(i) = toOuter(members(i)); i += 1 }
-        if (PlexListers.tryEarlyTerminate(stack, sp, verts, cCount, rows, l, etT, sink)) return
-      }
-    }
-    if (l == 1) {
-      if (!sink.wantsCliques) { sink.onCount(cCount); return }
-      var w = 0
-      while (w < words) {
-        var bits = c(w)
-        while (bits != 0) {
-          val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-          bits &= bits - 1
-          stack(sp) = toOuter(u); sink.onClique(stack, sp + 1)
-        }
-        w += 1
-      }
-      return
-    }
-    if (l == 2) {
-      val counting = !sink.wantsCliques
-      var total = 0L
-      var w = 0
-      while (w < words) {
-        var bits = c(w)
-        while (bits != 0) {
-          val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-          bits &= bits - 1
-          var ww = 0
-          if (counting) {
-            while (ww < words) { total += java.lang.Long.bitCount(c(ww) & outRows(u)(ww)); ww += 1 }
-          } else {
-            while (ww < words) {
-              var bits2 = c(ww) & outRows(u)(ww)
-              while (bits2 != 0) {
-                val v = (ww << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
-                bits2 &= bits2 - 1
-                stack(sp) = toOuter(u); stack(sp + 1) = toOuter(v)
-                sink.onClique(stack, sp + 2)
-              }
-              ww += 1
-            }
-          }
-        }
-        w += 1
-      }
-      if (counting) sink.onCount(total)
-      return
-    }
+  private def recBits(dag: BitDag, c: Array[Long], cnt: Int, l: Int, sp: Int, sink: CliqueSink): Unit = {
+    if (cnt < l) return
+    if (dag.tryEarlyTerminate(c, cnt, l, etT, stack, sp, sink)) return
+    if (l == 1) { dag.emitSingles(c, cnt, stack, sp, sink); return }
+    if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
+    val words = dag.words
+    val outRows = dag.outRows
     val cNext = cRows(sp)
     var w = 0
     while (w < words) {
@@ -355,13 +178,15 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
       while (bits != 0) {
         val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
         bits &= bits - 1
-        if (useColor && posColors(u) < l) return // positions ascend, colors descend
-        var cnt = 0
+        if (useColor && dag.colors(u) < l) return // positions ascend, colors descend
+        var cntNext = 0
         var ww = 0
-        while (ww < words) { cNext(ww) = c(ww) & outRows(u)(ww); cnt += java.lang.Long.bitCount(cNext(ww)); ww += 1 }
-        if (cnt >= l - 1 && (!cfg.rule2 || !useColor || ColorDag.hasColorsBits(cNext, words, posColors, l - 1))) {
-          stack(sp) = toOuter(u)
-          recBits(cNext, cnt, l - 1, sp + 1, outRows, undRows, posColors, toOuter, words, sink)
+        while (ww < words) {
+          cNext(ww) = c(ww) & outRows(u)(ww); cntNext += java.lang.Long.bitCount(cNext(ww)); ww += 1
+        }
+        if (cntNext >= l - 1 && (!colorRule2 || dag.hasColors(cNext, l - 1))) {
+          stack(sp) = dag.toOuter(u)
+          recBits(dag, cNext, cntNext, l - 1, sp + 1, sink)
         }
       }
       w += 1

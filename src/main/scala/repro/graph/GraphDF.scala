@@ -4,8 +4,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** DataFrame-side graph plumbing: canonical undirected edge tables, synthetic
-  * edge generators (the graph-shaped extension of [[repro.SynthData]]), and
-  * conversions to/from the in-core [[LocalGraph]] used by kernels.
+  * (Zipf and uniform) edge generators, and conversions to/from the in-core
+  * [[LocalGraph]] used by kernels.
   *
   * Canonical form everywhere: columns `src`, `dst` (long) with `src < dst`,
   * deduplicated, no self-loops — the same convention the DuckDB oracle

@@ -70,11 +70,4 @@ object Coloring {
   }
 
   def numColors(colors: Array[Int]): Int = if (colors.isEmpty) 0 else colors.max
-
-  /** Positions for the color-based vertex ordering: vertices sorted by color
-    * descending, ties by id ascending (Section 4.3). Returns the order array
-    * (position -> vertex); invert for id(v).
-    */
-  def colorDescOrder(colors: Array[Int]): Array[Int] =
-    colors.indices.sortBy(v => (-colors(v), v)).toArray
 }

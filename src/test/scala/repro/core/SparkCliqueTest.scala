@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.graph.{GraphDF, GraphGen}
-import repro.order.{CoreDF, CoreDecomposition, TrussDF, TrussDecomposition}
 
 /** Pure-Catalyst clique listing vs the DuckDB oracle and the kernels. */
 class CliqueDFTest extends SparkSpec {
@@ -63,66 +62,6 @@ class CliqueDFTest extends SparkSpec {
   }
 }
 
-/** Distributed core/truss machinery vs the exact local algorithms.
-  *
-  * The iterative peels launch many tiny Catalyst jobs, so the suite runs
-  * them at low shuffle parallelism — the default 64 partitions add minutes
-  * of pure scheduling overhead on toy graphs without touching semantics.
-  */
-class TrussCoreDFTest extends SparkSpec {
-  private var savedPartitions: String = _
-
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    savedPartitions = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "4")
-  }
-
-  override def afterAll(): Unit = {
-    spark.conf.set("spark.sql.shuffle.partitions", savedPartitions)
-    super.afterAll()
-  }
-
-  test("distributed degeneracy equals local on assorted graphs") {
-    for (g <- Seq(
-        GraphGen.complete(8),
-        GraphGen.completeBipartite(4, 6),
-        GraphGen.plantCliques(GraphGen.randomTree(80, 32), Seq(0 until 8)))) {
-      val edges = GraphDF.fromLocal(spark, g)
-      assert(CoreDF.degeneracy(edges) == CoreDecomposition.run(g).degeneracy)
-    }
-  }
-
-  test("k-core edges match the local coreness fixpoint") {
-    val g = GraphGen.gnp(60, 0.25, 33)
-    val core = CoreDecomposition.run(g)
-    val edges = GraphDF.fromLocal(spark, g)
-    for (k <- Seq(1, core.degeneracy / 2, core.degeneracy).distinct) {
-      val dfEdges = CoreDF.kCore(edges, k).collect()
-        .map(r => (r.getLong(0).toInt, r.getLong(1).toInt)).toSet
-      val localEdges = g.edges.filter { case (u, v) => core.coreness(u) >= k && core.coreness(v) >= k }.toSet
-      assert(dfEdges == localEdges, s"k=$k")
-    }
-  }
-
-  test("distributed tau equals local tau") {
-    for (g <- Seq(
-        GraphGen.complete(7),
-        GraphGen.plantCliques(GraphGen.gnm(70, 200, 35), Seq(0 until 9)))) {
-      val edges = GraphDF.fromLocal(spark, g)
-      assert(TrussDF.tau(edges) == TrussDecomposition.run(g).tau)
-    }
-  }
-
-  test("k-truss of a planted clique retains exactly the clique") {
-    val g = GraphGen.plantCliques(GraphGen.randomTree(60, 36), Seq(0 until 10))
-    val edges = GraphDF.fromLocal(spark, g)
-    val truss = TrussDF.kTruss(edges, 10).collect()
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt)).toSet
-    assert(truss == (for (u <- 0 until 10; v <- u + 1 until 10) yield (u, v)).toSet)
-  }
-}
-
 /** The distributed drivers vs serial kernels, on DataFrame-native graphs. */
 class KCliqueSparkTest extends SparkSpec {
 
@@ -142,7 +81,7 @@ class KCliqueSparkTest extends SparkSpec {
     }
 
   test("distributed count on a Spark-generated zipf graph matches brute force") {
-    val edges = repro.SynthData.zipfGraphEdges(spark, 200, 900, 1.4, seed = 42)
+    val edges = GraphDF.zipfEdges(spark, 200, 900, 1.4, seed = 42)
     val g = GraphDF.toLocal(edges).graph
     for (k <- 3 to 5)
       assert(KCliqueSpark.count(spark, edges, k, Algos.EBBkCET) == BruteForce.count(g, k))

@@ -191,11 +191,6 @@ class ColoringTest extends AnyFunSuite {
     assertProper(g, colors)
     assert(colors.sameElements(Coloring.greedy(g, order)))
   }
-
-  test("colorDescOrder sorts by color desc then id asc") {
-    val colors = Array(2, 3, 1, 3, 2)
-    assert(Coloring.colorDescOrder(colors).toSeq == Seq(1, 3, 0, 4, 2))
-  }
 }
 
 class MaxCliqueTest extends AnyFunSuite {
