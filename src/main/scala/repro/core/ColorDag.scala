@@ -10,8 +10,9 @@ import repro.order.Coloring
   * build per subproblem; [[BitDag]] is the same DAG with bitset rows.
   *
   * Besides the rows, the DAG owns the leaf work of every recursion over it:
-  * the ET probe and the l = 1 / l = 2 base cases. Each writes the clique's
-  * last vertices into `stack` from `sp` on, mapped through `toOuter`.
+  * the ET probe, which hands bitset rows to [[PlexListers]], and the l = 1 /
+  * l = 2 base cases. Each writes the clique's last vertices into `stack` from
+  * `sp` on, mapped through `toOuter`.
   *
   * @param out      out-neighbors (larger positions), sorted ascending
   * @param und      all neighbors as positions, sorted ascending
@@ -52,20 +53,49 @@ final class ColorDag(
 
   /** Early termination (Section 5) of the branch on the positions `c` with
     * `l` vertices left to pick: true iff the branch graph is a t-plex, in
-    * which case its l-cliques went to `sink`. `t` = 0 turns it off.
+    * which case its l-cliques went to `sink`. `t` = 0 turns it off. The
+    * plex test runs on local rows over `c`'s indices.
     */
   def tryEarlyTerminate(
       c: Array[Int], l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean =
-    t > 0 && l >= 3 && listIfPlex(c, l, t, stack, sp, sink)
+    if (t <= 0 || l < 3) false
+    else {
+      val rows = buildRowsIfPlex(c, t)
+      if (rows == null) false
+      else {
+        val all = new Array[Long]((c.length + 63) >>> 6)
+        BitDag.fillAll(all, c.length)
+        val verts = new Array[Int](c.length)
+        var i = 0
+        while (i < c.length) { verts(i) = toOuter(c(i)); i += 1 }
+        PlexListers.tryEarlyTerminate(stack, sp, all, c.length, rows, verts, l, t, sink)
+      }
+    }
 
-  private def listIfPlex(
-      c: Array[Int], l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean = {
-    val rows = PlexListers.buildRowsIfPlex(und, c, t)
-    if (rows == null) return false
-    val verts = new Array[Int](c.length)
+  /** The induced bitset adjacency of `c` over local indices, or null as soon
+    * as some member's induced degree drops below `c.length - t`: the branch
+    * graph provably is not a t-plex, and most branches stop at the first
+    * member, before a full matrix is built.
+    */
+  private def buildRowsIfPlex(c: Array[Int], t: Int): Array[Array[Long]] = {
+    val nv = c.length
+    val rows = Array.ofDim[Long](nv, (nv + 63) >>> 6)
     var i = 0
-    while (i < c.length) { verts(i) = toOuter(c(i)); i += 1 }
-    PlexListers.tryEarlyTerminate(stack, sp, verts, c.length, rows, l, t, sink)
+    while (i < nv) {
+      val nb = und(c(i))
+      val row = rows(i)
+      var d = 0
+      var a = 0; var b = 0
+      while (a < nb.length && b < nv) {
+        val x = nb(a); val y = c(b)
+        if (x == y) { row(b >>> 6) |= 1L << (b & 63); d += 1; a += 1; b += 1 }
+        else if (x < y) a += 1
+        else b += 1
+      }
+      if (d < nv - t) return null
+      i += 1
+    }
+    rows
   }
 
   /** The l = 1 base case: every position of `c` completes a clique. */
@@ -116,12 +146,6 @@ final class BitDag(
     val toOuter: Array[Int]
 ) {
 
-  /** Sets `row` to the full position set `0 until s`. */
-  def fillAll(row: Array[Long]): Unit = {
-    var i = 0
-    while (i < words) { row(i) = if (i < (s >>> 6)) -1L else (1L << (s & 63)) - 1; i += 1 }
-  }
-
   /** [[ColorDag#hasColors]] for the bitset `c`. */
   def hasColors(c: Array[Long], need: Int): Boolean = {
     var seen = 0
@@ -139,59 +163,12 @@ final class BitDag(
     seen >= need
   }
 
-  /** [[ColorDag#tryEarlyTerminate]] for the bitset `c` of `cnt` positions. */
+  /** [[ColorDag#tryEarlyTerminate]] for the bitset `c` of `cnt` positions,
+    * tested on `undRows` as they are.
+    */
   def tryEarlyTerminate(
       c: Array[Long], cnt: Int, l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean =
-    t > 0 && l >= 3 && listIfPlex(c, cnt, l, t, stack, sp, sink)
-
-  private def listIfPlex(
-      c: Array[Long], cnt: Int, l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean = {
-    // Induced degree of each member by word AND, aborting at the first one
-    // below cnt - t: most branches fail on the first member scanned.
-    val minDeg = cnt - t
-    var w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        var d = 0
-        var ww = 0
-        while (ww < words) { d += java.lang.Long.bitCount(c(ww) & undRows(u)(ww)); ww += 1 }
-        if (d < minDeg) return false
-      }
-      w += 1
-    }
-    val members = new Array[Int](cnt)
-    var mi = 0
-    w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        members(mi) = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1; mi += 1
-      }
-      w += 1
-    }
-    val rows = Array.ofDim[Long](cnt, (cnt + 63) >>> 6)
-    var i = 0
-    while (i < cnt) {
-      var j = i + 1
-      while (j < cnt) {
-        val a = members(i); val b = members(j)
-        if ((undRows(a)(b >>> 6) & (1L << (b & 63))) != 0) {
-          rows(i)(j >>> 6) |= 1L << (j & 63)
-          rows(j)(i >>> 6) |= 1L << (i & 63)
-        }
-        j += 1
-      }
-      i += 1
-    }
-    val verts = new Array[Int](cnt)
-    i = 0
-    while (i < cnt) { verts(i) = toOuter(members(i)); i += 1 }
-    PlexListers.tryEarlyTerminate(stack, sp, verts, cnt, rows, l, t, sink)
-  }
+    t > 0 && l >= 3 && PlexListers.tryEarlyTerminate(stack, sp, c, cnt, undRows, toOuter, l, t, sink)
 
   /** [[ColorDag#emitSingles]] for the bitset `c` of `cnt` positions. */
   def emitSingles(c: Array[Long], cnt: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Unit = {
@@ -237,6 +214,15 @@ final class BitDag(
       w += 1
     }
     if (counting) sink.onCount(total)
+  }
+}
+
+object BitDag {
+
+  /** Sets the first `(n + 63) / 64` words of `row` to the full set `0 until n`. */
+  def fillAll(row: Array[Long], n: Int): Unit = {
+    var i = 0
+    while (i < ((n + 63) >>> 6)) { row(i) = if (i < (n >>> 6)) -1L else (1L << (n & 63)) - 1; i += 1 }
   }
 }
 

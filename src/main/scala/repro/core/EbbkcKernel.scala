@@ -189,9 +189,11 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     if (verts.length < l) return true
     if (etT > 0 && l >= 3) {
       val rows = rowsFromEdgesIfPlex(verts, edges, ne)
-      if (rows != null &&
-          PlexListers.tryEarlyTerminate(stack, sp, verts, verts.length, rows, l, etT, sink))
-        return true
+      if (rows != null) {
+        val all = new Array[Long](rows(0).length)
+        BitDag.fillAll(all, verts.length)
+        if (PlexListers.tryEarlyTerminate(stack, sp, all, verts.length, rows, verts, l, etT, sink)) return true
+      }
     }
     if (l == 1) {
       if (!sink.wantsCliques) sink.onCount(verts.length)
@@ -233,17 +235,15 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     deg
   }
 
-  /** Bitset adjacency of the branch graph (verts, edges(0 until ne)) for the
-    * ET check, or null if the branch graph is not a t-plex (degrees checked
-    * first in one O(|E| + |V|) pass so the common sparse case skips the
-    * matrix).
+  /** Bitset adjacency of the branch graph (verts, edges(0 until ne)) over
+    * local ids for the ET check, or null where the edge count alone rules
+    * out a t-plex: every degree at least nv - t needs 2|E| >= nv (nv - t).
     */
   private def rowsFromEdgesIfPlex(verts: Array[Int], edges: Array[Int], ne: Int): Array[Array[Long]] = {
     val nv = verts.length
-    val degs = localDegrees(verts, edges, ne)
-    val minDeg = nv - etT
+    if (2L * ne < nv.toLong * (nv - etT)) return null
     var i = 0
-    while (i < nv) { if (degs(i) < minDeg) return null; i += 1 }
+    while (i < nv) { localIdx(verts(i)) = i; i += 1 }
     val rows = Array.ofDim[Long](nv, (nv + 63) >>> 6)
     i = 0
     while (i < ne) {
@@ -341,7 +341,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       }
     }
     val full = c2Rows(0)
-    dag.fillAll(full)
+    BitDag.fillAll(full, s)
     recH(dag, full, s, l0, 2, etHere = false, sink)
   }
 

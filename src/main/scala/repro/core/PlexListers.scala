@@ -15,189 +15,156 @@ import repro.core.Combinatorics.{binomial, forEachCombination}
   * In counting mode every enumeration collapses to closed-form binomials,
   * which is where EBBkC+ET's near-omega speedups come from.
   *
-  * The branch graph is passed as a bitset adjacency matrix over local ids
-  * `0 until nv` (`rows(i)` bit j set iff verts(i) ~ verts(j) in g); `verts`
-  * maps local ids back to the caller's vertex ids for emission.
+  * The branch graph is the member bitset `c` over bitset adjacency `rows`:
+  * `rows(u)` bit v set iff u ~ v, for ids u, v of any graph containing g.
+  * Bits of a row outside `c` are ignored, and `outer` maps ids to the
+  * caller's vertex ids for emission.
   */
 object PlexListers {
 
-  /** Attempts early termination with threshold `t`. Returns true iff the
-    * branch was fully handled (i.e. g is a t-plex). `stack(0 until sp)` holds
-    * the partial clique S; capacity must be at least sp + l.
+  /** Attempts early termination with threshold `t` of the branch on the
+    * `cnt` members of `c`. Returns true iff the branch was fully handled
+    * (i.e. g is a t-plex). `stack(0 until sp)` holds the partial clique S;
+    * capacity must be at least sp + l. `c` is read over the words of a row.
     */
   def tryEarlyTerminate(
       stack: Array[Int],
       sp: Int,
-      verts: Array[Int],
-      nv: Int,
+      c: Array[Long],
+      cnt: Int,
       rows: Array[Array[Long]],
+      outer: Array[Int],
       l: Int,
       t: Int,
       sink: CliqueSink
   ): Boolean = {
-    if (t <= 0 || nv < l) return false
-    var minDeg = Int.MaxValue
-    var i = 0
-    while (i < nv) {
-      var d = 0
-      val r = rows(i)
-      var w = 0
-      while (w < r.length) { d += java.lang.Long.bitCount(r(w)); w += 1 }
-      if (d < minDeg) minDeg = d
-      i += 1
+    if (t <= 0 || cnt < l || cnt == 0) return false
+    val pass = degreePass(c, cnt, rows, cnt - t, null, 0)
+    if (pass < 0) return false
+    val minDeg = (pass >>> 32).toInt
+    val f = pass.toInt
+    if (minDeg >= cnt - 2 && !sink.wantsCliques) {
+      // A clique is the 2-plex with no pairs.
+      val p = (cnt - f) / 2
+      if (f + p >= l) sink.onCount(count2Plex(f, p, l))
+    } else {
+      val members = new Array[Int](cnt)
+      degreePass(c, cnt, rows, cnt - t, members, f)
+      if (minDeg >= cnt - 2) kC2Plex(stack, sp, members, f, cnt, rows, outer, l, sink)
+      else kCtPlex(stack, sp, members, f, cnt, rows, outer, l, sink)
     }
-    if (minDeg < nv - t) return false
-    if (minDeg >= nv - 1) listFromClique(stack, sp, verts, nv, l, sink)
-    else if (minDeg >= nv - 2) kC2Plex(stack, sp, verts, nv, rows, l, sink)
-    else kCtPlex(stack, sp, verts, nv, rows, l, sink)
     true
+  }
+
+  /** The plex test, one pass over the members of `c`: each one's induced
+    * degree is the popcount of `c & rows(u)`. Returns -1 at the first member
+    * below `minDeg`: branches overwhelmingly fail the test, most of them on
+    * the first member scanned. Otherwise returns the smallest degree (high
+    * 32 bits) and the number f of universal members (low 32 bits). Given f
+    * from an earlier pass, a non-null `members` gets the ids in ascending
+    * order, the universal ones in `members(0 until f)` and the others in
+    * `members(f until cnt)`.
+    */
+  private def degreePass(
+      c: Array[Long], cnt: Int, rows: Array[Array[Long]], minDeg: Int, members: Array[Int], f0: Int): Long = {
+    val words = rows(0).length
+    var low = cnt
+    var f = 0
+    var others = f0
+    var w = 0
+    while (w < words) {
+      var bits = c(w)
+      while (bits != 0) {
+        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+        bits &= bits - 1
+        val r = rows(u)
+        var d = 0
+        var ww = 0
+        while (ww < words) { d += java.lang.Long.bitCount(c(ww) & r(ww)); ww += 1 }
+        if (d < minDeg) return -1L
+        if (d < low) low = d
+        if (d == cnt - 1) { if (members != null) members(f) = u; f += 1 }
+        else if (members != null) { members(others) = u; others += 1 }
+      }
+      w += 1
+    }
+    (low.toLong << 32) | f
   }
 
   @inline private def bit(rows: Array[Array[Long]], i: Int, j: Int): Boolean =
     (rows(i)(j >>> 6) & (1L << (j & 63))) != 0
 
-  /** Builds the induced bitset adjacency of `c` from sorted neighbor lists,
-    * aborting as soon as some vertex's induced degree drops below
-    * `c.length - t` — i.e. as soon as the branch graph provably is not a
-    * t-plex. Branches overwhelmingly fail the plex test, so this early
-    * abort is what keeps the ET probe at the paper's O(|V(g)|)-flavored
-    * cost instead of a full matrix build per branch.
-    *
-    * @param und sorted neighbor lists (same id space as `c`'s elements)
-    * @return rows over local indices, or null if not a t-plex
+  /** Algorithm 6's closed form: l-cliques of a 2-plex with f universal
+    * vertices and p non-adjacent pairs, sum C(f,c1) C(p,c2) C(p-c2,c3).
     */
-  def buildRowsIfPlex(und: Array[Array[Int]], c: Array[Int], t: Int): Array[Array[Long]] = {
-    val nv = c.length
-    val minDeg = nv - t
-    val words = (nv + 63) >>> 6
-    val rows = Array.ofDim[Long](nv, words)
-    var i = 0
-    while (i < nv) {
-      val nb = und(c(i))
-      val row = rows(i)
-      var d = 0
-      var a = 0; var b = 0
-      while (a < nb.length && b < nv) {
-        val x = nb(a); val y = c(b)
-        if (x == y) { row(b >>> 6) |= 1L << (b & 63); d += 1; a += 1; b += 1 }
-        else if (x < y) a += 1
-        else b += 1
+  private def count2Plex(f: Int, p: Int, l: Int): Long = {
+    var total = 0L
+    var c1 = math.max(0, l - p)
+    val c1Max = math.min(l, f)
+    while (c1 <= c1Max) {
+      var c2 = 0
+      val c2Max = math.min(l - c1, p)
+      while (c2 <= c2Max) {
+        // A zero C(p - c2, c3) must not let the other factors overflow.
+        val b3 = binomial(p - c2, l - c1 - c2)
+        if (b3 != 0)
+          total = Math.addExact(total,
+            Math.multiplyExact(Math.multiplyExact(binomial(f, c1), binomial(p, c2)), b3))
+        c2 += 1
       }
-      if (d < minDeg) return null
-      i += 1
+      c1 += 1
     }
-    rows
-  }
-
-  /** g is a clique: emit all l-subsets (C(nv, l) cliques). */
-  def listFromClique(
-      stack: Array[Int], sp: Int, verts: Array[Int], nv: Int, l: Int, sink: CliqueSink
-  ): Unit = {
-    if (!sink.wantsCliques) { sink.onCount(binomial(nv, l)); return }
-    val ids = new Array[Int](nv)
-    var i = 0
-    while (i < nv) { ids(i) = i; i += 1 }
-    forEachCombination(ids, nv, l) { (buf, k) =>
-      var j = 0
-      while (j < k) { stack(sp + j) = verts(buf(j)); j += 1 }
-      sink.onClique(stack, sp + k)
-    }
+    total
   }
 
   /** Algorithm 6: list l-cliques in a 2-plex via the F/L/R partition.
     *
-    * F holds the universal vertices; the rest form disjoint non-adjacent
-    * pairs (L(i), R(i)). An l-clique picks a subset of F plus at most one
-    * endpoint per pair, so enumeration is a triple combination loop; in
-    * counting mode it is sum C(|F|,c1) C(p,c2) C(p-c2,c3).
+    * F = `members(0 until f)` holds the universal vertices; the rest form
+    * disjoint non-adjacent pairs (L(i), R(i)). An l-clique picks c1 vertices
+    * of F plus one endpoint each of l - c1 pairs.
     */
-  def kC2Plex(
-      stack: Array[Int], sp: Int, verts: Array[Int], nv: Int,
-      rows: Array[Array[Long]], l: Int, sink: CliqueSink
+  private def kC2Plex(
+      stack: Array[Int], sp: Int, members: Array[Int], f: Int, cnt: Int,
+      rows: Array[Array[Long]], outer: Array[Int], l: Int, sink: CliqueSink
   ): Unit = {
-    val fBuf = new Array[Int](nv)
-    val lBuf = new Array[Int](nv / 2)
-    val rBuf = new Array[Int](nv / 2)
-    var f = 0; var p = 0
-    val paired = new Array[Boolean](nv)
-    var i = 0
-    while (i < nv) {
-      var d = 0
-      val r = rows(i)
-      var w = 0
-      while (w < r.length) { d += java.lang.Long.bitCount(r(w)); w += 1 }
-      if (d == nv - 1) { fBuf(f) = i; f += 1 }
-      else if (!paired(i)) {
-        // Find i's unique non-neighbor (2-plex guarantee).
-        var j = 0
-        var partner = -1
-        while (j < nv && partner < 0) {
-          if (j != i && !bit(rows, i, j)) partner = j
-          j += 1
-        }
-        require(partner >= 0, "2-plex invariant violated")
-        lBuf(p) = i; rBuf(p) = partner; p += 1
-        paired(i) = true; paired(partner) = true
-      }
+    val p = (cnt - f) / 2
+    if (f + p < l) return // line 2 of Algorithm 6: no l-clique fits
+    // Each non-universal member misses exactly one other member: its pair,
+    // recorded from the smaller end.
+    val lBuf = new Array[Int](p)
+    val rBuf = new Array[Int](p)
+    var np = 0
+    var i = f
+    while (i < cnt) {
+      val u = members(i)
+      var j = f
+      while (j < cnt && (members(j) == u || bit(rows, u, members(j)))) j += 1
+      require(j < cnt, "2-plex invariant violated")
+      if (u < members(j)) { lBuf(np) = u; rBuf(np) = members(j); np += 1 }
       i += 1
     }
-
-    if (f + p < l) return // line 2 of Algorithm 6: no l-clique fits
-
-    if (!sink.wantsCliques) {
-      var total = 0L
-      var c1 = math.max(0, l - p)
-      val c1Max = math.min(l, f)
-      while (c1 <= c1Max) {
-        var c2 = 0
-        val c2Max = math.min(l - c1, p)
-        while (c2 <= c2Max) {
-          // A zero C(p - c2, c3) must not let the other factors overflow.
-          val b3 = binomial(p - c2, l - c1 - c2)
-          if (b3 != 0)
-            total = Math.addExact(total,
-              Math.multiplyExact(Math.multiplyExact(binomial(f, c1), binomial(p, c2)), b3))
-          c2 += 1
-        }
-        c1 += 1
-      }
-      sink.onCount(total)
-      return
-    }
-
-    val pairIdx = new Array[Int](p)
-    i = 0
-    while (i < p) { pairIdx(i) = i; i += 1 }
+    val pairIdx = Array.tabulate(p)(identity)
     var c1 = math.max(0, l - p)
     val c1Max = math.min(l, f)
     while (c1 <= c1Max) {
-      forEachCombination(fBuf, f, c1) { (fs, fk) =>
-        var j = 0
-        while (j < fk) { stack(sp + j) = verts(fs(j)); j += 1 }
-        var c2 = 0
-        val c2Max = math.min(l - c1, p)
-        while (c2 <= c2Max) {
-          val c3 = l - c1 - c2
-          if (c3 <= p - c2) {
-            forEachCombination(pairIdx, p, c2) { (ls, lk) =>
-              var q = 0
-              while (q < lk) { stack(sp + c1 + q) = verts(lBuf(ls(q))); q += 1 }
-              // R-side choices come from pairs whose L endpoint was not taken.
-              val remaining = new Array[Int](p - lk)
-              var ri = 0; var pi = 0; var li = 0
-              while (pi < p) {
-                if (li < lk && ls(li) == pi) li += 1
-                else { remaining(ri) = pi; ri += 1 }
-                pi += 1
-              }
-              forEachCombination(remaining, remaining.length, c3) { (rs, rk) =>
-                var q2 = 0
-                while (q2 < rk) { stack(sp + c1 + lk + q2) = verts(rBuf(rs(q2))); q2 += 1 }
-                sink.onClique(stack, sp + l)
-              }
+      val j = l - c1
+      forEachCombination(members, f, c1) { (fs, fk) =>
+        var q = 0
+        while (q < fk) { stack(sp + q) = outer(fs(q)); q += 1 }
+        if (j == 0) sink.onClique(stack, sp + l)
+        else forEachCombination(pairIdx, p, j) { (ps, pk) =>
+          // Bit q of `side` picks R(ps(q)) over L(ps(q)).
+          var side = 0L
+          while (side < (1L << pk)) {
+            var q2 = 0
+            while (q2 < pk) {
+              val pair = ps(q2)
+              stack(sp + fk + q2) = outer(if (((side >>> q2) & 1L) == 0) lBuf(pair) else rBuf(pair))
+              q2 += 1
             }
+            sink.onClique(stack, sp + l)
+            side += 1
           }
-          c2 += 1
         }
       }
       c1 += 1
@@ -205,34 +172,21 @@ object PlexListers {
   }
 
   /** Algorithm 7: list l-cliques in a t-plex (t >= 3) by branching on the
-    * inverse graph. I is the set of universal vertices: any remaining budget
-    * can be filled from I combinatorially at every node.
+    * inverse graph. I = `members(0 until nI)` is the set of universal
+    * vertices: any remaining budget can be filled from I combinatorially at
+    * every node.
     */
-  def kCtPlex(
-      stack: Array[Int], sp: Int, verts: Array[Int], nv: Int,
-      rows: Array[Array[Long]], l: Int, sink: CliqueSink
+  private def kCtPlex(
+      stack: Array[Int], sp: Int, members: Array[Int], nI: Int, cnt: Int,
+      rows: Array[Array[Long]], outer: Array[Int], l: Int, sink: CliqueSink
   ): Unit = {
-    val iBuf = new Array[Int](nv)
-    val cBuf = new Array[Int](nv)
-    var nI = 0; var nC = 0
-    var i = 0
-    while (i < nv) {
-      var d = 0
-      val r = rows(i)
-      var w = 0
-      while (w < r.length) { d += java.lang.Long.bitCount(r(w)); w += 1 }
-      if (d == nv - 1) { iBuf(nI) = i; nI += 1 }
-      else { cBuf(nC) = i; nC += 1 }
-      i += 1
-    }
-
     def emitWithI(sp2: Int, lRem: Int): Unit = {
       if (lRem == 0) { if (sink.wantsCliques) sink.onClique(stack, sp2) else sink.onCount(1L); return }
       if (nI >= lRem) {
         if (!sink.wantsCliques) sink.onCount(binomial(nI, lRem))
-        else forEachCombination(iBuf, nI, lRem) { (buf, k) =>
+        else forEachCombination(members, nI, lRem) { (buf, k) =>
           var j = 0
-          while (j < k) { stack(sp2 + j) = verts(buf(j)); j += 1 }
+          while (j < k) { stack(sp2 + j) = outer(buf(j)); j += 1 }
           sink.onClique(stack, sp2 + k)
         }
       }
@@ -254,13 +208,13 @@ object PlexListers {
           j += 1
         }
         if (nn + nI >= lNew) {
-          stack(sp2) = verts(v)
+          stack(sp2) = outer(v)
           rec(next, nn, sp2 + 1, lNew)
         }
         idx += 1
       }
     }
 
-    rec(cBuf, nC, sp, l)
+    rec(java.util.Arrays.copyOfRange(members, nI, cnt), cnt - nI, sp, l)
   }
 }

@@ -135,7 +135,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
         while (i < cRows.length) { cRows(i) = new Array[Long](dag.words); i += 1 }
       }
       val full = cRows(sp - 1)
-      dag.fillAll(full)
+      BitDag.fillAll(full, s)
       recBits(dag, full, s, l0, sp, sink)
     } else {
       recArr(ColorDag.build(adjL, order, colors, outer), Array.tabulate(s)(identity), l0, sp, sink)
@@ -166,7 +166,10 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
 
   private def recBits(dag: BitDag, c: Array[Long], cnt: Int, l: Int, sp: Int, sink: CliqueSink): Unit = {
     if (cnt < l) return
-    if (dag.tryEarlyTerminate(c, cnt, l, etT, stack, sp, sink)) return
+    // ET off is tested here as well: the JIT then compiles this recursion
+    // from its own branch profile and keeps the probe, hot in EBBkC-H, out
+    // of the SDegree/BitCol code.
+    if (etT > 0 && dag.tryEarlyTerminate(c, cnt, l, etT, stack, sp, sink)) return
     if (l == 1) { dag.emitSingles(c, cnt, stack, sp, sink); return }
     if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
     val words = dag.words

@@ -69,18 +69,19 @@ object GraphDF {
     */
   def toLocal(edges: DataFrame): Localized = {
     val rows = canonicalize(edges).collect()
-    val ids = {
-      val s = scala.collection.mutable.SortedSet.empty[Long]
-      rows.foreach { r => s += r.getLong(0); s += r.getLong(1) }
-      s.toArray
-    }
-    val idx = new scala.collection.mutable.HashMap[Long, Int]
-    ids.indices.foreach(i => idx(ids(i)) = i)
-    val g = LocalGraph.fromEdges(
-      ids.length,
-      rows.iterator.map(r => (idx(r.getLong(0)), idx(r.getLong(1))))
-    )
-    Localized(g, ids)
+    // Endpoints as (src, dst) pairs, then sorted and deduplicated into ids.
+    val ends = new Array[Long](2 * rows.length)
+    var i = 0
+    while (i < rows.length) { ends(2 * i) = rows(i).getLong(0); ends(2 * i + 1) = rows(i).getLong(1); i += 1 }
+    val ids = ends.clone()
+    java.util.Arrays.sort(ids)
+    var n = 0
+    i = 0
+    while (i < ids.length) { if (n == 0 || ids(i) != ids(n - 1)) { ids(n) = ids(i); n += 1 }; i += 1 }
+    val origIds = java.util.Arrays.copyOf(ids, n)
+    def dense(e: Int): Int = java.util.Arrays.binarySearch(origIds, ends(e))
+    val g = LocalGraph.fromEdges(n, Iterator.range(0, rows.length).map(j => (dense(2 * j), dense(2 * j + 1))))
+    Localized(g, origIds)
   }
 
   /** (n, m, maxDegree) of a canonical edge table, computed in Catalyst. */

@@ -239,6 +239,21 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     assert(mb < 600, f"allocated $mb%.0f MB")
   }
 
+  test("EBBkC+ET count of the PO stand-in at k=10 allocates under 300 MB") {
+    // Guards the early-termination path, which this count hits about 2M
+    // times: copying each passing branch into a new matrix, or a degree
+    // array per probe, brings this back near 800 MB.
+    val g = SynthGraphs("PO")
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val tid = Thread.currentThread.getId
+    val before = mx.getThreadAllocatedBytes(tid)
+    val count = KClique.count(g, 10, Algos.EBBkCET)
+    val mb = (mx.getThreadAllocatedBytes(tid) - before) / 1e6
+    assert(count == 45362534L)
+    assert(mb < 300, f"allocated $mb%.0f MB")
+  }
+
   test("paper running example: 4-cliques under color pruning (Figure 2)") {
     // 8-vertex graph shaped like Figure 2(a): two K4s sharing structure.
     val g = GraphGen.plantCliques(LocalGraph.empty(8), Seq(Seq(0, 1, 2, 3), Seq(4, 5, 6, 7), Seq(3, 4)))

@@ -18,17 +18,78 @@ class PlexListersTest extends AnyFunSuite {
       rows(v)(u >>> 6) |= 1L << (u & 63)
     }
     val verts = Array.tabulate(nv)(identity)
+    val all = new Array[Long](words)
+    BitDag.fillAll(all, nv)
     val stack = new Array[Int](nv + l)
     if (wantCliques) {
       val sink = new CollectingSink
-      val handled = PlexListers.tryEarlyTerminate(stack, 0, verts, nv, rows, l, t, sink)
+      val handled = PlexListers.tryEarlyTerminate(stack, 0, all, nv, rows, verts, l, t, sink)
       assert(handled, s"expected t=$t to handle this graph")
       Right(sink.cliques.map(_.toSeq).toSet)
     } else {
       val sink = new CountingSink
-      val handled = PlexListers.tryEarlyTerminate(stack, 0, verts, nv, rows, l, t, sink)
+      val handled = PlexListers.tryEarlyTerminate(stack, 0, all, nv, rows, verts, l, t, sink)
       assert(handled, s"expected t=$t to handle this graph")
       Left(sink.total)
+    }
+  }
+
+  /** Runs tryEarlyTerminate on `h` embedded at scattered ids of a 150-vertex
+    * host (three words per row): the branch is the member set, the host has
+    * each pair not inside it as an edge with probability 1/2, emission maps
+    * id i to 1000 + i, and the stack holds the prefix S = {-1, -2}.
+    */
+  private def runEmbedded(h: LocalGraph, l: Int, t: Int, sink: CliqueSink): (Boolean, Array[Int]) = {
+    val n = 150
+    val rnd = new scala.util.Random(h.n * 31 + h.m)
+    val ids = rnd.shuffle((0 until n).toVector).take(h.n).toArray
+    val isMember = ids.toSet
+    val rows = Array.ofDim[Long](n, 3)
+    def link(a: Int, b: Int): Unit = {
+      rows(a)(b >>> 6) |= 1L << (b & 63)
+      rows(b)(a >>> 6) |= 1L << (a & 63)
+    }
+    for ((u, v) <- h.edges) link(ids(u), ids(v))
+    for (a <- 0 until n; b <- a + 1 until n if !(isMember(a) && isMember(b)) && rnd.nextBoolean()) link(a, b)
+    val c = new Array[Long](3)
+    for (u <- ids) c(u >>> 6) |= 1L << (u & 63)
+    val stack = new Array[Int](2 + l)
+    stack(0) = -1; stack(1) = -2
+    val handled = PlexListers.tryEarlyTerminate(stack, 2, c, h.n, rows, Array.tabulate(n)(1000 + _), l, t, sink)
+    (handled, ids)
+  }
+
+  for ((name, h, t) <- Seq(
+        ("a clique", GraphGen.complete(10), 1),
+        ("a 2-plex", GraphGen.twoPlexWithPairs(12, 3), 2),
+        ("a 3-plex", GraphGen.tPlex(14, 3, seed = 5), 3),
+        ("a 4-plex", GraphGen.tPlex(14, 4, seed = 6), 4));
+       l <- 3 to 5) {
+    test(s"members of a larger graph, $name, l=$l: count and list match brute force on the induced subgraph") {
+      val counting = new CountingSink
+      val (countHandled, _) = runEmbedded(h, l, t, counting)
+      assert(countHandled)
+      assert(counting.total == BruteForce.count(h, l))
+      val listing = new CollectingSink
+      val (listHandled, ids) = runEmbedded(h, l, t, listing)
+      assert(listHandled)
+      val want = BruteForce.list(h, l).map(q => (Seq(-2, -1) ++ q.map(v => 1000 + ids(v)).sorted))
+      assert(listing.cliques.map(_.toSeq).toSet == want)
+      assert(listing.cliques.length == want.size, "a clique was emitted twice")
+    }
+  }
+
+  test("members of a larger graph sparser than cnt - t are refused and emit nothing") {
+    // A cycle among the members: their host rows are dense, their induced
+    // degrees are 2.
+    val h = GraphGen.cycle(10)
+    for (t <- 1 to 7) {
+      val counting = new CountingSink
+      assert(!runEmbedded(h, 3, t, counting)._1, s"t=$t")
+      assert(counting.total == 0)
+      val listing = new CollectingSink
+      assert(!runEmbedded(h, 3, t, listing)._1, s"t=$t")
+      assert(listing.cliques.isEmpty)
     }
   }
 
@@ -91,7 +152,7 @@ class PlexListersTest extends AnyFunSuite {
     for ((u, v) <- g.edges) { rows(u)(0) |= 1L << v; rows(v)(0) |= 1L << u }
     val sink = new CountingSink
     val handled = PlexListers.tryEarlyTerminate(
-      new Array[Int](8), 0, Array.tabulate(8)(identity), 8, rows, 3, 3, sink)
+      new Array[Int](8), 0, Array(0xffL), 8, rows, Array.tabulate(8)(identity), 3, 3, sink)
     assert(!handled)
     assert(sink.total == 0)
   }
@@ -103,7 +164,7 @@ class PlexListersTest extends AnyFunSuite {
     val stack = new Array[Int](8)
     stack(0) = 100; stack(1) = 200 // pretend S = {100, 200}
     val sink = new CollectingSink
-    PlexListers.tryEarlyTerminate(stack, 2, Array.tabulate(5)(identity), 5, rows, 2, 2, sink)
+    PlexListers.tryEarlyTerminate(stack, 2, Array(0x1fL), 5, rows, Array.tabulate(5)(identity), 2, 2, sink)
     assert(sink.cliques.nonEmpty)
     assert(sink.cliques.forall(c => c.contains(100) && c.contains(200) && c.length == 4))
   }

@@ -66,56 +66,3 @@ class GraphDFTest extends SparkSpec {
     )
   }
 }
-
-/** Catalyst triangle enumeration vs the DuckDB oracle and local kernels. */
-class TriangleDFTest extends SparkSpec {
-  import spark.implicits._
-
-  private def fixture = GraphGen.plantCliques(GraphGen.gnm(120, 500, seed = 7), Seq(0 until 8))
-
-  test("triangles match DuckDB row for row") {
-    val edges = GraphDF.fromLocal(spark, fixture)
-    Oracle.assertEquivalent(
-      TriangleDF.triangles(edges),
-      """SELECT CAST(ab.src AS BIGINT) AS a, CAST(ab.dst AS BIGINT) AS b, CAST(ac.dst AS BIGINT) AS c
-        |FROM e ab
-        |JOIN e ac ON ab.src = ac.src AND CAST(ab.dst AS BIGINT) < CAST(ac.dst AS BIGINT)
-        |JOIN e bc ON bc.src = ab.dst AND bc.dst = ac.dst""".stripMargin,
-      "e" -> edges
-    )
-  }
-
-  test("triangle count matches the local truss-support count") {
-    val g = fixture
-    assert(TriangleDF.triangleCount(GraphDF.fromLocal(spark, g)) ==
-      repro.order.TrussDecomposition.triangleCount(g))
-  }
-
-  test("edgeSupport matches local supports including zero-support edges") {
-    val g = GraphGen.gnm(60, 200, seed = 8)
-    val sup = repro.order.TrussDecomposition.supports(g)
-    val got = TriangleDF.edgeSupport(GraphDF.fromLocal(spark, g))
-      .as[(Long, Long, Long)].collect()
-      .map { case (s, d, c) => (s.toInt, d.toInt) -> c }.toMap
-    assert(got.size == g.m)
-    for (e <- 0 until g.m)
-      assert(got((g.edgeU(e), g.edgeV(e))) == sup(e).toLong, s"edge $e")
-  }
-
-  test("edgeSupport against the DuckDB oracle (common-neighbor count)") {
-    val edges = GraphDF.fromLocal(spark, GraphGen.gnp(40, 0.25, seed = 9))
-    Oracle.assertEquivalent(
-      TriangleDF.edgeSupport(edges),
-      """WITH sym AS (
-        |  SELECT CAST(src AS BIGINT) AS u, CAST(dst AS BIGINT) AS v FROM e
-        |  UNION ALL
-        |  SELECT CAST(dst AS BIGINT) AS u, CAST(src AS BIGINT) AS v FROM e
-        |)
-        |SELECT CAST(e.src AS BIGINT) AS src, CAST(e.dst AS BIGINT) AS dst,
-        |       (SELECT count(*) FROM sym a JOIN sym b ON a.v = b.v
-        |         WHERE a.u = CAST(e.src AS BIGINT) AND b.u = CAST(e.dst AS BIGINT)) AS support
-        |FROM e""".stripMargin,
-      "e" -> edges
-    )
-  }
-}
