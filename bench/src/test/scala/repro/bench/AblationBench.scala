@@ -84,7 +84,10 @@ class OrderingBench extends AnyFunSuite {
 }
 
 /** Figure 8 as a table: effect of the new Rule (2) — EBBkC+ET with and
-  * without it. Shape: Rule (2) helps more as k grows and never hurts much.
+  * without it. The kernels test the rule only where the child still branches
+  * (l − 2 ≥ 3): at a base case it cannot prune, since one color class holds
+  * no pair and any non-empty set has one color, so a test there is pure
+  * cost. Shape: Rule (2) helps more as k grows and never hurts much.
   */
 class Rule2Bench extends AnyFunSuite {
 

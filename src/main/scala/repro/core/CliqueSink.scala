@@ -3,9 +3,9 @@ package repro.core
 /** Consumer of k-cliques produced by a kernel.
   *
   * Kernels ask `wantsCliques` before a base case: when false they may replace
-  * enumeration with arithmetic (`onCount`), e.g. emitting |E(g)| at an l = 2
-  * branch or a binomial inside an early-terminated plex. When true every
-  * clique is materialized through `onClique`.
+  * enumeration with arithmetic (`onCount`), e.g. one total of |E(g)| over
+  * all l = 2 children of a branch, or a binomial inside an early-terminated
+  * plex. When true every clique is materialized through `onClique`.
   */
 trait CliqueSink {
   def wantsCliques: Boolean

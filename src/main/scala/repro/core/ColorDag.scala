@@ -37,7 +37,9 @@ final class ColorDag(
   /** Rule (2)'s test: whether the positions in `c` carry at least `need`
     * distinct colors. `c` is sorted and colors are non-increasing with
     * position, so each new color is a transition, and the scan stops at the
-    * `need`-th one.
+    * `need`-th one. The recursions test it only where the child still
+    * branches (need >= 3): below that it cannot prune, since one color class
+    * holds no DAG edge and every non-empty set has one color.
     */
   def hasColors(c: Array[Int], need: Int): Boolean = {
     var seen = 0
@@ -106,17 +108,19 @@ final class ColorDag(
       while (i < c.length) { stack(sp) = toOuter(c(i)); sink.onClique(stack, sp + 1); i += 1 }
     }
 
+  /** The number of DAG edges inside `c`: the l = 2 leaf count. */
+  def pairsIn(c: Array[Int]): Long = {
+    var total = 0L
+    var i = 0
+    while (i < c.length) { total += IntArrays.intersectionSize(c, out(c(i))); i += 1 }
+    total
+  }
+
   /** The l = 2 base case: every DAG edge inside `c` completes a clique. In
     * counting mode the sink gets one count for the whole branch.
     */
   def emitPairs(c: Array[Int], stack: Array[Int], sp: Int, sink: CliqueSink): Unit = {
-    if (!sink.wantsCliques) {
-      var total = 0L
-      var i = 0
-      while (i < c.length) { total += IntArrays.intersectionSize(c, out(c(i))); i += 1 }
-      sink.onCount(total)
-      return
-    }
+    if (!sink.wantsCliques) { sink.onCount(pairsIn(c)); return }
     var i = 0
     while (i < c.length) {
       val u = c(i)
@@ -185,35 +189,49 @@ final class BitDag(
     }
   }
 
-  /** [[ColorDag#emitPairs]] for the bitset `c`: one popcount per member. */
-  def emitPairs(c: Array[Long], stack: Array[Int], sp: Int, sink: CliqueSink): Unit = {
-    val counting = !sink.wantsCliques
+  /** [[ColorDag#pairsIn]] for the bitset `c`: one popcount per member and
+    * word. Out-rows point only to larger positions, so a member's row is
+    * read from the member's own word on.
+    */
+  def pairsIn(c: Array[Long]): Long = {
     var total = 0L
+    var w = 0
+    while (w < words) {
+      var bits = c(w)
+      while (bits != 0) {
+        val row = outRows((w << 6) + java.lang.Long.numberOfTrailingZeros(bits))
+        bits &= bits - 1
+        var ww = w
+        while (ww < words) { total += java.lang.Long.bitCount(c(ww) & row(ww)); ww += 1 }
+      }
+      w += 1
+    }
+    total
+  }
+
+  /** [[ColorDag#emitPairs]] for the bitset `c`. */
+  def emitPairs(c: Array[Long], stack: Array[Int], sp: Int, sink: CliqueSink): Unit = {
+    if (!sink.wantsCliques) { sink.onCount(pairsIn(c)); return }
     var w = 0
     while (w < words) {
       var bits = c(w)
       while (bits != 0) {
         val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
         bits &= bits - 1
-        var ww = 0
-        if (counting) {
-          while (ww < words) { total += java.lang.Long.bitCount(c(ww) & outRows(u)(ww)); ww += 1 }
-        } else {
-          while (ww < words) {
-            var bits2 = c(ww) & outRows(u)(ww)
-            while (bits2 != 0) {
-              val v = (ww << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
-              bits2 &= bits2 - 1
-              stack(sp) = toOuter(u); stack(sp + 1) = toOuter(v)
-              sink.onClique(stack, sp + 2)
-            }
-            ww += 1
+        var ww = w
+        while (ww < words) {
+          var bits2 = c(ww) & outRows(u)(ww)
+          while (bits2 != 0) {
+            val v = (ww << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
+            bits2 &= bits2 - 1
+            stack(sp) = toOuter(u); stack(sp + 1) = toOuter(v)
+            sink.onClique(stack, sp + 2)
           }
+          ww += 1
         }
       }
       w += 1
     }
-    if (counting) sink.onCount(total)
   }
 }
 

@@ -347,7 +347,9 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
 
   /** Word-parallel edge branching over the branch graph's [[BitDag]]. The
     * candidate sets of the branch at stack depth sp live in `cuRows(sp / 2)`
-    * and `c2Rows(sp / 2)`, each at least `dag.words` long.
+    * and `c2Rows(sp / 2)`, each at least `dag.words` long. A counting branch
+    * at l <= 4 sums its children's leaf counts in place (|c_uv| at l = 3,
+    * the pairs in c_uv at l = 4) and hands the sink their total.
     */
   private def recH(
       dag: BitDag, c: Array[Long], cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
@@ -355,47 +357,56 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     if (etHere && dag.tryEarlyTerminate(c, cnt, l, etT, stack, sp, sink)) return
     if (l == 1) { dag.emitSingles(c, cnt, stack, sp, sink); return }
     if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
+    val leaves = l <= 4 && !sink.wantsCliques
     val words = dag.words
     val outRows = dag.outRows
     val colors = dag.colors
     val cu = cuRows(sp >>> 1)
     val c2 = c2Rows(sp >>> 1)
+    var total = 0L
+    var live = true
     var w = 0
-    while (w < words) {
+    while (w < words && live) {
       var bits = c(w)
-      while (bits != 0) {
+      while (bits != 0 && live) {
         val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
         bits &= bits - 1
-        if (colors(u) < l) return // Rule (1a): colors descend with position
-        var ww = 0
-        while (ww < words) { cu(ww) = c(ww) & outRows(u)(ww); ww += 1 }
-        var w2 = 0
-        var innerLive = true
-        while (w2 < words && innerLive) {
-          var bits2 = cu(w2)
-          while (bits2 != 0 && innerLive) {
-            val v = (w2 << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
-            bits2 &= bits2 - 1
-            if (colors(v) < l - 1) innerLive = false // Rule (1b)
-            else {
-              var cnt2 = 0
-              var w3 = 0
-              while (w3 < words) {
-                c2(w3) = cu(w3) & outRows(v)(w3)
-                cnt2 += java.lang.Long.bitCount(c2(w3))
-                w3 += 1
-              }
-              if (cnt2 >= l - 2 && (!rule2 || dag.hasColors(c2, l - 2))) {
-                stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
-                recH(dag, c2, cnt2, l - 2, sp + 2, etHere = true, sink)
+        if (colors(u) < l) live = false // Rule (1a): colors descend with position
+        else {
+          var ww = 0
+          while (ww < words) { cu(ww) = c(ww) & outRows(u)(ww); ww += 1 }
+          var w2 = 0
+          var innerLive = true
+          while (w2 < words && innerLive) {
+            var bits2 = cu(w2)
+            while (bits2 != 0 && innerLive) {
+              val v = (w2 << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
+              bits2 &= bits2 - 1
+              if (colors(v) < l - 1) innerLive = false // Rule (1b)
+              else {
+                var cnt2 = 0
+                var w3 = 0
+                while (w3 < words) {
+                  c2(w3) = cu(w3) & outRows(v)(w3)
+                  cnt2 += java.lang.Long.bitCount(c2(w3))
+                  w3 += 1
+                }
+                if (leaves) {
+                  if (l == 3) total += cnt2
+                  else if (cnt2 >= 2) total += dag.pairsIn(c2)
+                } else if (cnt2 >= l - 2 && (!rule2 || l - 2 < 3 || dag.hasColors(c2, l - 2))) { // Rule (2)
+                  stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
+                  recH(dag, c2, cnt2, l - 2, sp + 2, etHere = true, sink)
+                }
               }
             }
+            w2 += 1
           }
-          w2 += 1
         }
       }
       w += 1
     }
+    if (total > 0) sink.onCount(total)
   }
 
   // ------------------------------------------------------------ EBBkC-C body
@@ -412,29 +423,32 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     val c0 = IntArrays.intersectSorted(dag.out(u), dag.out(v))
     if (c0.length < l0) return
     stack(0) = dag.toOuter(u); stack(1) = dag.toOuter(v)
-    if (rule2 && !dag.hasColors(c0, l0)) return // Rule (2)
+    if (rule2 && l0 >= 3 && !dag.hasColors(c0, l0)) return // Rule (2)
     recC(dag, c0, l0, 2, sink)
   }
 
-  /** Edge branching over the global [[ColorDag]] on sorted position arrays. */
+  /** Edge branching over the global [[ColorDag]] on sorted position arrays,
+    * with [[recH]]'s in-place leaf counts at l <= 4.
+    */
   private def recC(dag: ColorDag, c: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
     if (c.length < l) return
     if (dag.tryEarlyTerminate(c, l, etT, stack, sp, sink)) return
     if (l == 1) { dag.emitSingles(c, stack, sp, sink); return }
     if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
+    val leaves = l <= 4 && !sink.wantsCliques
+    var total = 0L
     var ui = 0
-    while (ui < c.length) {
+    while (ui < c.length && dag.colors(c(ui)) >= l) { // Rule (1a); colors non-increasing along c
       val u = c(ui)
-      if (dag.colors(u) < l) return // Rule (1a); colors non-increasing along c
       val cu = IntArrays.intersectSorted(c, dag.out(u))
       var vi = 0
-      var continueInner = true
-      while (vi < cu.length && continueInner) {
+      while (vi < cu.length && dag.colors(cu(vi)) >= l - 1) { // Rule (1b)
         val v = cu(vi)
-        if (dag.colors(v) < l - 1) continueInner = false // Rule (1b)
+        if (leaves && l == 3) total += IntArrays.intersectionSize(cu, dag.out(v))
         else {
           val c2 = IntArrays.intersectSorted(cu, dag.out(v))
-          if (c2.length >= l - 2 && (!rule2 || dag.hasColors(c2, l - 2))) {
+          if (leaves) total += dag.pairsIn(c2)
+          else if (c2.length >= l - 2 && (!rule2 || l - 2 < 3 || dag.hasColors(c2, l - 2))) { // Rule (2)
             stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
             recC(dag, c2, l - 2, sp + 2, sink)
           }
@@ -443,5 +457,6 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       }
       ui += 1
     }
+    if (total > 0) sink.onCount(total)
   }
 }

@@ -149,17 +149,21 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
     if (dag.tryEarlyTerminate(c, l, etT, stack, sp, sink)) return
     if (l == 1) { dag.emitSingles(c, stack, sp, sink); return }
     if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
+    // A counting branch at l = 3 sums its children's pairs in place.
+    val leaves = l == 3 && !sink.wantsCliques
+    var total = 0L
     var i = 0
-    while (i < c.length) {
+    while (i < c.length && !(useColor && dag.colors(c(i)) < l)) { // color pruning; colors non-increasing
       val u = c(i)
-      if (useColor && dag.colors(u) < l) return // color pruning; colors non-increasing
       val cu = IntArrays.intersectSorted(c, dag.out(u))
-      if (cu.length >= l - 1 && (!colorRule2 || dag.hasColors(cu, l - 1))) {
+      if (leaves) total += dag.pairsIn(cu)
+      else if (cu.length >= l - 1 && (!colorRule2 || l - 1 < 3 || dag.hasColors(cu, l - 1))) { // Rule (2)
         stack(sp) = dag.toOuter(u)
         recArr(dag, cu, l - 1, sp + 1, sink)
       }
       i += 1
     }
+    if (total > 0) sink.onCount(total)
   }
 
   // ----------------------------------------------------------- bitset kernel
@@ -172,27 +176,35 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
     if (etT > 0 && dag.tryEarlyTerminate(c, cnt, l, etT, stack, sp, sink)) return
     if (l == 1) { dag.emitSingles(c, cnt, stack, sp, sink); return }
     if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
+    // A counting branch at l = 3 sums its children's pairs in place.
+    val leaves = l == 3 && !sink.wantsCliques
     val words = dag.words
     val outRows = dag.outRows
     val cNext = cRows(sp)
+    var total = 0L
+    var live = true
     var w = 0
-    while (w < words) {
+    while (w < words && live) {
       var bits = c(w)
-      while (bits != 0) {
+      while (bits != 0 && live) {
         val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
         bits &= bits - 1
-        if (useColor && dag.colors(u) < l) return // positions ascend, colors descend
-        var cntNext = 0
-        var ww = 0
-        while (ww < words) {
-          cNext(ww) = c(ww) & outRows(u)(ww); cntNext += java.lang.Long.bitCount(cNext(ww)); ww += 1
-        }
-        if (cntNext >= l - 1 && (!colorRule2 || dag.hasColors(cNext, l - 1))) {
-          stack(sp) = dag.toOuter(u)
-          recBits(dag, cNext, cntNext, l - 1, sp + 1, sink)
+        if (useColor && dag.colors(u) < l) live = false // positions ascend, colors descend
+        else {
+          var cntNext = 0
+          var ww = 0
+          while (ww < words) {
+            cNext(ww) = c(ww) & outRows(u)(ww); cntNext += java.lang.Long.bitCount(cNext(ww)); ww += 1
+          }
+          if (leaves) { if (cntNext >= 2) total += dag.pairsIn(cNext) }
+          else if (cntNext >= l - 1 && (!colorRule2 || l - 1 < 3 || dag.hasColors(cNext, l - 1))) { // Rule (2)
+            stack(sp) = dag.toOuter(u)
+            recBits(dag, cNext, cntNext, l - 1, sp + 1, sink)
+          }
         }
       }
       w += 1
     }
+    if (total > 0) sink.onCount(total)
   }
 }

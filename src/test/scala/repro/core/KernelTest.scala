@@ -159,6 +159,21 @@ class KernelEdgeCaseTest extends AnyFunSuite {
       assert(KClique.count(g, 3, cfg) == 2L, cfg.name)
   }
 
+  // `KernelFixtures.ks` stops at 6, so no sweep reaches a branch at l >= 5
+  // above the in-place leaf counts of EBBkC-H.
+  test("k = 7..9: every algorithm's counts and listings equal brute force") {
+    val graphs = KernelFixtures.graphs.filter { case (name, _) => Set("planted", "gnp25dense", "K9")(name) }
+    assert(graphs.size == 3)
+    for ((name, g) <- graphs; k <- 7 to 9) {
+      val want = BruteForce.list(g, k)
+      for (cfg <- KernelFixtures.algos) {
+        assert(KClique.count(g, k, cfg) == want.size.toLong, s"${cfg.name} count on $name, k=$k")
+        val listed = KClique.list(g, k, cfg).map(_.toSeq)
+        assert(listed.size == want.size && listed.toSet == want, s"${cfg.name} listing on $name, k=$k")
+      }
+    }
+  }
+
   test("algorithm names in the correctness sweep are unique") {
     val names = KernelFixtures.algos.map(_.name)
     assert(names.distinct == names, names.diff(names.distinct))
@@ -237,6 +252,23 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     val mb = (mx.getThreadAllocatedBytes(tid) - before) / 1e6
     assert(count == 98568307L)
     assert(mb < 600, f"allocated $mb%.0f MB")
+  }
+
+  test("EBBkC+ET count of the WK stand-in at k=8 makes under 2M sink calls") {
+    // Guards the in-place leaf counts: one onCount per branch at l = 2 (or
+    // per child of a branch at l <= 4) brings this back to about 18.5M.
+    val sink = new CliqueSink {
+      var total = 0L
+      var calls = 0L
+      override def wantsCliques: Boolean = false
+      override def onClique(stack: Array[Int], len: Int): Unit = fail("counting run received a clique")
+      override def onCount(c: Long): Unit = { total += c; calls += 1 }
+    }
+    val prep = KClique.prepare(SynthGraphs("WK"), 8, Algos.EBBkCET)
+    val kernel = prep.newKernel()
+    for (id <- 0 until prep.numSubproblems) kernel.run(id, sink)
+    assert(sink.total == 98568307L)
+    assert(sink.calls < 2000000L, s"${sink.calls} onCount calls")
   }
 
   test("EBBkC+ET count of the PO stand-in at k=10 allocates under 300 MB") {
