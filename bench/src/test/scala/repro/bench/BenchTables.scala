@@ -13,11 +13,12 @@ object BenchTables {
 
   final case class Cell(algo: String, k: Int, count: Long, seconds: Double)
 
-  /** One timed serial run (preprocessing + ordering + listing, as the paper
-    * measures). Returns the count and wall seconds.
+  /** One serial count (preprocessing + ordering + listing, as the paper
+    * measures), timed as the median of 3 runs after 1 warm-up so no cell
+    * carries the JIT's warm-up. Returns the count and wall seconds.
     */
   def run(g: LocalGraph, k: Int, cfg: AlgoConfig): Cell = {
-    val t = Timer.time(KClique.count(g, k, cfg))
+    val t = Timer.median(reps = 3, warmup = 1)(KClique.count(g, k, cfg))
     Cell(cfg.name, k, t.result, t.seconds)
   }
 

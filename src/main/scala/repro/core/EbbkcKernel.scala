@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.LocalGraph
+import repro.graph.{LocalGraph, SubgraphBuilder}
 import repro.order.{Coloring, TrussDecomposition, TrussResult}
 
 /** Prepared state for the edge-oriented branching framework EBBkC
@@ -87,8 +87,8 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   private val stampOf = new Array[Int](g.n)
   private val localIdx = new Array[Int](g.n)
   private var stamp = 0
-  // ESet of the current top-level branch: edge ids, in no particular order.
-  private var edgeBuf = new Array[Int](64)
+  private val sub = new SubgraphBuilder(g)
+  private val hitIdx, hitPos = new Array[Int](g.maxDegree) // VSet(e) lookups
   // EBBkC-H candidate rows, one pair per edge-branching depth: the branch at
   // stack depth sp builds c_u in cuRows(sp / 2) and c_uv in c2Rows(sp / 2);
   // c2Rows(0) holds a branch graph's full vertex set. Rows grow only when a
@@ -113,82 +113,46 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     val u = g.edgeU(e); val v = g.edgeV(e)
     val r = rank(e)
 
-    // VSet(e): common neighbors reachable through strictly later-ranked edges.
-    val cap = math.min(g.degree(u), g.degree(v))
-    val vset = new Array[Int](cap)
-    var nv = 0
-    var pu = g.offsets(u); val endU = g.offsets(u + 1)
-    var pv = g.offsets(v); val endV = g.offsets(v + 1)
-    while (pu < endU && pv < endV) {
-      val a = g.adj(pu); val b = g.adj(pv)
-      if (a == b) {
-        if (rank(g.adjEdgeIds(pu)) > r && rank(g.adjEdgeIds(pv)) > r) { vset(nv) = a; nv += 1 }
-        pu += 1; pv += 1
-      } else if (a < b) pu += 1
-      else pv += 1
+    // VSet(e): common neighbors reachable through strictly later-ranked
+    // edges. The probe gallops over both lists, so it costs about the
+    // smaller endpoint's degree, never the larger's.
+    val h = g.probe(u, g.adj, g.offsets(v), g.offsets(v + 1), hitIdx, hitPos)
+    val vset = new Array[Int](h)
+    var nv = 0; var t = 0
+    while (t < h) {
+      if (rank(g.adjEdgeIds(hitIdx(t))) > r && rank(g.adjEdgeIds(hitPos(t))) > r) { vset(nv) = g.adj(hitPos(t)); nv += 1 }
+      t += 1
     }
     if (nv < l0) return
-    val verts = if (nv == vset.length) vset else java.util.Arrays.copyOf(vset, nv)
+    val verts = if (nv == h) vset else java.util.Arrays.copyOf(vset, nv)
 
-    // ESet(e): edges among VSet(e) ranked after e. Only EBBkC-T branches on
-    // them in rank order; EBBkC-H recolors the branch graph instead.
-    val ne = if (l0 >= 2) collectBranchEdges(verts, r) else 0
-
+    // The branch graph: VSet(e) with its edges ranked after e, ESet(e). Only
+    // EBBkC-T branches on ESet(e), in rank order; EBBkC-H colors the rows.
+    val adjL = if (l0 >= 2) sub.build(verts, rank, r) else null
+    val edges = if (l0 >= 2) sub.edgeIds else Array.emptyIntArray
     stack(0) = u; stack(1) = v
-    if (cfg.ordering == HybridOrdering) runHybridBranch(verts, edgeBuf, ne, l0, sink)
-    else recT(verts, sortedByRank(edgeBuf, ne), l0, 2, sink)
+    if (cfg.ordering == HybridOrdering) runHybridBranch(verts, adjL, edges, l0, sink)
+    else recT(verts, sortedByRank(edges), l0, 2, sink)
   }
 
-  /** Writes the edges of g with both endpoints in `verts` and rank > r into
-    * `edgeBuf` (unordered) and returns their number.
-    */
-  private def collectBranchEdges(verts: Array[Int], r: Int): Int = {
-    stamp += 1
+  /** `edges` sorted by rank, as packed (rank, id) keys. */
+  private def sortedByRank(edges: Array[Int]): Array[Int] = {
+    val packed = new Array[Long](edges.length)
     var i = 0
-    while (i < verts.length) { stampOf(verts(i)) = stamp; i += 1 }
-    var ne = 0
-    i = 0
-    while (i < verts.length) {
-      val w1 = verts(i)
-      var p = g.offsets(w1); val end = g.offsets(w1 + 1)
-      while (p < end) {
-        val w2 = g.adj(p)
-        if (w2 > w1 && stampOf(w2) == stamp) {
-          val f = g.adjEdgeIds(p)
-          if (rank(f) > r) {
-            if (ne == edgeBuf.length) edgeBuf = java.util.Arrays.copyOf(edgeBuf, 2 * ne)
-            edgeBuf(ne) = f; ne += 1
-          }
-        }
-        p += 1
-      }
-      i += 1
-    }
-    ne
-  }
-
-  /** `edges(0 until ne)` sorted by rank, as packed (rank, id) keys. */
-  private def sortedByRank(edges: Array[Int], ne: Int): Array[Int] = {
-    val packed = new Array[Long](ne)
-    var i = 0
-    while (i < ne) { packed(i) = (rank(edges(i)).toLong << 32) | edges(i); i += 1 }
+    while (i < edges.length) { packed(i) = (rank(edges(i)).toLong << 32) | edges(i); i += 1 }
     java.util.Arrays.sort(packed)
-    val out = new Array[Int](ne)
-    i = 0
-    while (i < ne) { out(i) = packed(i).toInt; i += 1 }
-    out
+    packed.map(_.toInt)
   }
 
-  /** The leaf work of a truss-level branch graph (verts, edges(0 until ne)),
-    * shared by EBBkC-T's recursion and EBBkC-H's top level: the size check,
-    * the ET probe on the edge list, and the l = 1 / l = 2 base cases.
-    * Returns true iff the branch needs no further branching.
+  /** The leaf work of a truss-level branch graph (verts, edges), shared by
+    * EBBkC-T's recursion and EBBkC-H's top level: the size check, the ET
+    * probe on the edge list, and the l = 1 / l = 2 base cases. Returns true
+    * iff the branch needs no further branching.
     */
-  private def finishTrussBranch(
-      verts: Array[Int], edges: Array[Int], ne: Int, l: Int, sp: Int, sink: CliqueSink): Boolean = {
+  private def finishTrussBranch(verts: Array[Int], edges: Array[Int], l: Int, sp: Int, sink: CliqueSink): Boolean = {
     if (verts.length < l) return true
     if (etT > 0 && l >= 3) {
-      val rows = rowsFromEdgesIfPlex(verts, edges, ne)
+      val rows = rowsFromEdgesIfPlex(verts, edges)
       if (rows != null) {
         val all = new Array[Long](rows(0).length)
         BitDag.fillAll(all, verts.length)
@@ -204,10 +168,10 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       return true
     }
     if (l == 2) {
-      if (!sink.wantsCliques) sink.onCount(ne)
+      if (!sink.wantsCliques) sink.onCount(edges.length)
       else {
         var i = 0
-        while (i < ne) {
+        while (i < edges.length) {
           val f = edges(i)
           stack(sp) = g.edgeU(f); stack(sp + 1) = g.edgeV(f)
           sink.onClique(stack, sp + 2)
@@ -219,34 +183,18 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     false
   }
 
-  /** Maps `verts` to local ids `0 until verts.length` in `localIdx` and
-    * returns each one's degree in the branch graph (verts, edges(0 until ne)).
+  /** Bitset adjacency of the branch graph (verts, edges) over local ids for
+    * the ET check, or null where the edge count alone rules out a t-plex:
+    * every degree at least nv - t needs 2|E| >= nv (nv - t).
     */
-  private def localDegrees(verts: Array[Int], edges: Array[Int], ne: Int): Array[Int] = {
-    var i = 0
-    while (i < verts.length) { localIdx(verts(i)) = i; i += 1 }
-    val deg = new Array[Int](verts.length)
-    i = 0
-    while (i < ne) {
-      val f = edges(i)
-      deg(localIdx(g.edgeU(f))) += 1; deg(localIdx(g.edgeV(f))) += 1
-      i += 1
-    }
-    deg
-  }
-
-  /** Bitset adjacency of the branch graph (verts, edges(0 until ne)) over
-    * local ids for the ET check, or null where the edge count alone rules
-    * out a t-plex: every degree at least nv - t needs 2|E| >= nv (nv - t).
-    */
-  private def rowsFromEdgesIfPlex(verts: Array[Int], edges: Array[Int], ne: Int): Array[Array[Long]] = {
+  private def rowsFromEdgesIfPlex(verts: Array[Int], edges: Array[Int]): Array[Array[Long]] = {
     val nv = verts.length
-    if (2L * ne < nv.toLong * (nv - etT)) return null
+    if (2L * edges.length < nv.toLong * (nv - etT)) return null
     var i = 0
     while (i < nv) { localIdx(verts(i)) = i; i += 1 }
     val rows = Array.ofDim[Long](nv, (nv + 63) >>> 6)
     i = 0
-    while (i < ne) {
+    while (i < edges.length) {
       val f = edges(i)
       val a = localIdx(g.edgeU(f)); val b = localIdx(g.edgeV(f))
       rows(a)(b >>> 6) |= 1L << (b & 63)
@@ -262,7 +210,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     * pi_tau order; each sub-branch keeps only later-ranked structure.
     */
   private def recT(verts: Array[Int], edges: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
-    if (finishTrussBranch(verts, edges, edges.length, l, sp, sink)) return
+    if (finishTrussBranch(verts, edges, l, sp, sink)) return
     var i = 0
     while (i < edges.length) {
       val f = edges(i)
@@ -314,28 +262,15 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     * coloring altogether.
     */
   private def runHybridBranch(
-      verts: Array[Int], edges: Array[Int], ne: Int, l0: Int, sink: CliqueSink): Unit = {
-    if (finishTrussBranch(verts, edges, ne, l0, 2, sink)) return
+      verts: Array[Int], adjL: Array[Array[Int]], edges: Array[Int], l0: Int, sink: CliqueSink): Unit = {
+    if (finishTrussBranch(verts, edges, l0, 2, sink)) return
     val s = verts.length
-    val deg = localDegrees(verts, edges, ne)
-    val adjL = new Array[Array[Int]](s)
-    var i = 0
-    while (i < s) { adjL(i) = new Array[Int](deg(i)); i += 1 }
-    val cursor = new Array[Int](s)
-    i = 0
-    while (i < ne) {
-      val f = edges(i)
-      val a = localIdx(g.edgeU(f)); val b = localIdx(g.edgeV(f))
-      adjL(a)(cursor(a)) = b; cursor(a) += 1
-      adjL(b)(cursor(b)) = a; cursor(b) += 1
-      i += 1
-    }
     // Branch graphs are bounded by tau, so candidate sets fit a handful of
     // words — the same data-level parallelism BitCol enjoys.
     val (order, colors) = ColorDag.colorOrder(adjL)
     val dag = ColorDag.buildBits(adjL, order, colors, verts)
     if (cuRows(0).length < dag.words) {
-      i = 0
+      var i = 0
       while (i < cuRows.length) {
         cuRows(i) = new Array[Long](dag.words); c2Rows(i) = new Array[Long](dag.words); i += 1
       }

@@ -15,24 +15,19 @@ object KClique {
   }
 
   /** Number of k-cliques in `g`, via a single-threaded run of `cfg`. */
-  def count(g: LocalGraph, k: Int, cfg: AlgoConfig): Long = {
-    val prep = prepare(g, k, cfg)
-    val kernel = prep.newKernel()
-    val sink = new CountingSink
-    var id = 0
-    val n = prep.numSubproblems
-    while (id < n) { kernel.run(id, sink); id += 1 }
-    sink.total
-  }
+  def count(g: LocalGraph, k: Int, cfg: AlgoConfig): Long = runAll(g, k, cfg, new CountingSink).total
 
   /** All k-cliques of `g` as sorted vertex arrays. */
-  def list(g: LocalGraph, k: Int, cfg: AlgoConfig): IndexedSeq[Array[Int]] = {
+  def list(g: LocalGraph, k: Int, cfg: AlgoConfig): IndexedSeq[Array[Int]] =
+    runAll(g, k, cfg, new CollectingSink).cliques.toIndexedSeq
+
+  /** Runs every subproblem of `cfg` on `g` into `sink`, in id order. */
+  private def runAll[S <: CliqueSink](g: LocalGraph, k: Int, cfg: AlgoConfig, sink: S): S = {
     val prep = prepare(g, k, cfg)
     val kernel = prep.newKernel()
-    val sink = new CollectingSink
     var id = 0
     val n = prep.numSubproblems
     while (id < n) { kernel.run(id, sink); id += 1 }
-    sink.cliques.toIndexedSeq
+    sink
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
 import repro.graph.{GraphDF, LocalGraph}
 
 /** Distributed k-clique listing: subgraph-centric execution on Spark.
@@ -28,23 +28,13 @@ object KCliqueSpark {
     * total past Long.MaxValue throws instead of wrapping.
     */
   def countLocal(spark: SparkSession, g: LocalGraph, k: Int, cfg: AlgoConfig, partitions: Int = 0): Long = {
-    val prep = KClique.prepare(g, k, cfg)
-    val parts = if (partitions > 0) partitions else defaultPartitions(spark)
-    val bc = spark.sparkContext.broadcast(prep)
     import spark.implicits._
-    val n = prep.numSubproblems
-    if (n == 0) return 0L
-    spark
-      .range(n)
-      .as[Long]
-      .repartition(math.min(parts, n))
-      .mapPartitions { it =>
-        val kernel = bc.value.newKernel()
-        val sink = new CountingSink
-        it.foreach(id => kernel.run(id.toInt, sink))
-        Iterator.single(sink.total)
-      }
-      .reduce((a, b) => Math.addExact(a, b))
+    val totals = fanOut(spark, KClique.prepare(g, k, cfg), partitions) { (kernel, it) =>
+      val sink = new CountingSink
+      it.foreach(id => kernel.run(id.toInt, sink))
+      Iterator.single(sink.total)
+    }
+    totals.fold(0L)(_.reduce((a: Long, b: Long) => Math.addExact(a, b)))
   }
 
   /** Lists k-cliques as a DataFrame with columns v1 < v2 < ... < vk, mapped
@@ -52,42 +42,46 @@ object KCliqueSpark {
     */
   def list(spark: SparkSession, edges: DataFrame, k: Int, cfg: AlgoConfig, partitions: Int = 0): DataFrame = {
     val localized = GraphDF.toLocal(edges)
-    val prep = KClique.prepare(localized.graph, k, cfg)
-    val parts = if (partitions > 0) partitions else defaultPartitions(spark)
-    val bc = spark.sparkContext.broadcast(prep)
     val bcIds = spark.sparkContext.broadcast(localized.origIds)
     import spark.implicits._
+    val rows = fanOut(spark, KClique.prepare(localized.graph, k, cfg), partitions) { (kernel, it) =>
+      val ids = bcIds.value
+      // One subproblem's cliques at a time, not the whole partition's.
+      var buf = scala.collection.mutable.ArrayBuffer.empty[Seq[Long]]
+      val sink = new CliqueSink {
+        override def wantsCliques: Boolean = true
+        override def onClique(stack: Array[Int], len: Int): Unit = {
+          val c = new Array[Long](len)
+          var i = 0
+          while (i < len) { c(i) = ids(stack(i)); i += 1 }
+          java.util.Arrays.sort(c)
+          buf += c.toSeq
+        }
+        override def onCount(c: Long): Unit =
+          throw new IllegalStateException("listing run must materialize cliques")
+      }
+      it.flatMap { id =>
+        buf = scala.collection.mutable.ArrayBuffer.empty[Seq[Long]]
+        kernel.run(id.toInt, sink)
+        buf
+      }
+    }
+    rows.getOrElse(spark.emptyDataset[Seq[Long]])
+      .toDF("clique").selectExpr((1 to k).map(i => s"clique[${i - 1}] as v$i"): _*)
+  }
+
+  /** The one fan-out: broadcasts `prep` and deals its subproblem ids over
+    * `partitions` partitions (default [[defaultPartitions]], at most one per
+    * id); each partition runs `body` with its own kernel. None when there is
+    * no subproblem.
+    */
+  private def fanOut[T: Encoder](spark: SparkSession, prep: Prep, partitions: Int)(
+      body: (SubproblemKernel, Iterator[Long]) => Iterator[T]): Option[Dataset[T]] = {
     val n = prep.numSubproblems
-    val rows: org.apache.spark.sql.Dataset[Seq[Long]] =
-      if (n == 0) spark.emptyDataset[Seq[Long]]
-      else
-        spark
-          .range(n)
-          .as[Long]
-          .repartition(math.min(parts, n))
-          .mapPartitions { it =>
-            val kernel = bc.value.newKernel()
-            val ids = bcIds.value
-            // One subproblem's cliques at a time, not the whole partition's.
-            var buf = scala.collection.mutable.ArrayBuffer.empty[Seq[Long]]
-            val sink = new CliqueSink {
-              override def wantsCliques: Boolean = true
-              override def onClique(stack: Array[Int], len: Int): Unit = {
-                val c = new Array[Long](len)
-                var i = 0
-                while (i < len) { c(i) = ids(stack(i)); i += 1 }
-                java.util.Arrays.sort(c)
-                buf += c.toSeq
-              }
-              override def onCount(c: Long): Unit =
-                throw new IllegalStateException("listing run must materialize cliques")
-            }
-            it.flatMap { id =>
-              buf = scala.collection.mutable.ArrayBuffer.empty[Seq[Long]]
-              kernel.run(id.toInt, sink)
-              buf
-            }
-          }
-    rows.toDF("clique").selectExpr((1 to k).map(i => s"clique[${i - 1}] as v$i"): _*)
+    if (n == 0) return None
+    val parts = if (partitions > 0) partitions else defaultPartitions(spark)
+    val bc = spark.sparkContext.broadcast(prep)
+    import spark.implicits._
+    Some(spark.range(n).as[Long].repartition(math.min(parts, n)).mapPartitions(it => body(bc.value.newKernel(), it)))
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.LocalGraph
+import repro.graph.{LocalGraph, SubgraphBuilder}
 import repro.order.CoreDecomposition
 
 /** Prepared state for the vertex-oriented baselines (Section 3 / 7).
@@ -51,9 +51,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
   private val colorRule2 = cfg.rule2 && useColor
 
   private val stack = new Array[Int](k)
-  private val stampOf = new Array[Int](g.n)
-  private val localIdx = new Array[Int](g.n)
-  private var stamp = 0
+  private val sub = new SubgraphBuilder(g)
   // Bitset candidate rows, one per stack depth: the branch at depth sp
   // builds its candidate set in cRows(sp), so a subproblem entering at depth
   // sp starts from its full set in cRows(sp - 1). Rows grow only when a
@@ -64,12 +62,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
     if (cfg.edgeParallel) runEdgeSub(subId, sink) else runVertexSub(subId, sink)
 
   /** Rank-space out-neighbors of v (suffix of the sorted adjacency list). */
-  private def outNeighbors(v: Int): Array[Int] = {
-    var lo = g.offsets(v)
-    val hi = g.offsets(v + 1)
-    while (lo < hi && g.adj(lo) <= v) lo += 1
-    java.util.Arrays.copyOfRange(g.adj, lo, hi)
-  }
+  private def outNeighbors(v: Int): Array[Int] = java.util.Arrays.copyOfRange(g.adj, g.outStart(v), g.offsets(v + 1))
 
   private def runVertexSub(v: Int, sink: CliqueSink): Unit = {
     // O(1) prune: out-degree in the degeneracy DAG is bounded by coreness.
@@ -102,26 +95,8 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
     }
     // Induced subgraph on the candidate set, in dense local ids.
     val s = cands.length
-    stamp += 1
-    var i = 0
-    while (i < s) { stampOf(cands(i)) = stamp; localIdx(cands(i)) = i; i += 1 }
-    val adjL = new Array[Array[Int]](s)
-    val outer = new Array[Int](s)
-    i = 0
-    while (i < s) {
-      val a = cands(i)
-      val buf = new Array[Int](math.min(s, g.degree(a)))
-      var nb = 0
-      var p = g.offsets(a); val end = g.offsets(a + 1)
-      while (p < end) {
-        val w = g.adj(p)
-        if (stampOf(w) == stamp) { buf(nb) = localIdx(w); nb += 1 }
-        p += 1
-      }
-      adjL(i) = java.util.Arrays.copyOf(buf, nb)
-      outer(i) = prep.toGlobal(a)
-      i += 1
-    }
+    val adjL = sub.build(cands, null, 0)
+    val outer = cands.map(prep.toGlobal)
     // Sub-strategy ordering of the local subgraph.
     val (order, colors) = cfg.sub match {
       case SubNatural => (Array.tabulate(s)(identity), null)
@@ -131,7 +106,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
     if (cfg.bitset) {
       val dag = ColorDag.buildBits(adjL, order, colors, outer)
       if (cRows(0).length < dag.words) {
-        i = 0
+        var i = 0
         while (i < cRows.length) { cRows(i) = new Array[Long](dag.words); i += 1 }
       }
       val full = cRows(sp - 1)

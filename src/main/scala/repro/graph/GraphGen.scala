@@ -58,7 +58,7 @@ object GraphGen {
         if (seen.add(key)) { us(i) = u; vs(i) = v; i += 1 }
       }
     }
-    LocalGraph.fromEdgeArrays(n, us, vs)
+    LocalGraph.fromEdges(n, us.indices.iterator.map(i => (us(i), vs(i))))
   }
 
   /** G(n, p): Bernoulli edges; only for small n (quadratic scan). */
@@ -170,10 +170,6 @@ object GraphGen {
     }
     plantCliques(g, cliques)
   }
-
-  /** Edge-disjoint union of graphs over the same vertex-id space. */
-  def union(n: Int, gs: Seq[LocalGraph]): LocalGraph =
-    LocalGraph.fromEdges(n, gs.iterator.flatMap(_.edges))
 
   /** Disjoint union: vertices of `b` are shifted by `a.n`. */
   def disjointUnion(a: LocalGraph, b: LocalGraph): LocalGraph =

@@ -5,11 +5,12 @@ import java.util.Arrays
 /** Immutable undirected simple graph in CSR (compressed sparse row) form.
   *
   * Vertices are dense ints in `0 until n`. Neighbor lists are sorted, so an
-  * adjacency test is `O(log deg)` and set intersections are linear merges.
+  * adjacency test is `O(log deg)` and a sorted run of ids is looked up in a
+  * list by galloping search ([[probe]]).
   * Every undirected edge has a single id in `0 until m` (assigned in
   * lexicographic `(u, v)` order with `u < v`); `adjEdgeIds` is parallel to
   * `adj` so kernels can look up the id — and hence the truss rank — of the
-  * edge being traversed in `O(1)` while merging neighbor lists.
+  * edge being traversed in `O(1)` once a neighbor's position is known.
   *
   * The class is `Serializable` so a prepared graph can be broadcast to Spark
   * executors for subgraph-centric k-clique listing.
@@ -40,6 +41,30 @@ final class LocalGraph private (
     if (p >= 0) adjEdgeIds(p) else -1
   }
 
+  /** Start of `v`'s out-suffix in `adj`: the first position whose neighbor
+    * exceeds `v` (binary-searched; `v` is never its own neighbor).
+    */
+  @inline def outStart(v: Int): Int = -Arrays.binarySearch(adj, offsets(v), offsets(v + 1), v) - 1
+
+  /** Finds the ascending run `ids(from until until)` in `a`'s list; returns
+    * the number h of neighbors found, the i-th at `ids(hitIdx(i))` and `adj`
+    * position `hitPos(i)`. Both sides gallop from the last match, so a hub's
+    * list is searched, never walked: the cost follows the shorter side.
+    */
+  def probe(a: Int, ids: Array[Int], from: Int, until: Int, hitIdx: Array[Int], hitPos: Array[Int]): Int = {
+    var p = offsets(a)
+    val hi = offsets(a + 1)
+    var j = from
+    var h = 0
+    while (p < hi && j < until) {
+      val x = adj(p); val y = ids(j)
+      if (x == y) { hitIdx(h) = j; hitPos(h) = p; h += 1; p += 1; j += 1 }
+      else if (x < y) p = LocalGraph.gallop(adj, p + 1, hi, y)
+      else j = LocalGraph.gallop(ids, j + 1, until, x)
+    }
+    h
+  }
+
   /** Fresh copy of `v`'s sorted neighbor list. */
   def neighborsOf(v: Int): Array[Int] = Arrays.copyOfRange(adj, offsets(v), offsets(v + 1))
 
@@ -64,6 +89,20 @@ final class LocalGraph private (
 }
 
 object LocalGraph {
+
+  /** The first index in `from until hi` whose value in the ascending `arr`
+    * is at least `x`, or `hi`: doubling steps from `from`, then bisection, so
+    * a gap of g entries costs O(log g).
+    */
+  private def gallop(arr: Array[Int], from: Int, hi: Int, x: Int): Int = {
+    var lo = from - 1 // every entry up to lo is below x
+    var step = 1
+    while (step < hi - lo && arr(lo + step) < x) { lo += step; step <<= 1 }
+    var p = if (step < hi - lo) lo + step else hi
+    lo += 1
+    while (lo < p) { val mid = (lo + p) >>> 1; if (arr(mid) < x) lo = mid + 1 else p = mid }
+    lo
+  }
 
   /** Builds a graph from a possibly-dirty edge list: self-loops are dropped,
     * duplicates and reversed copies are merged. `n` fixes the vertex-id space.
@@ -115,12 +154,62 @@ object LocalGraph {
     new LocalGraph(n, offsets, adj, adjEdgeIds, edgeU, edgeV)
   }
 
-  /** Builds from parallel endpoint arrays (convenience for generators). */
-  def fromEdgeArrays(n: Int, us: Array[Int], vs: Array[Int]): LocalGraph = {
-    require(us.length == vs.length, "endpoint arrays must align")
-    fromEdges(n, us.indices.iterator.map(i => (us(i), vs(i))))
-  }
-
   /** The empty graph on `n` vertices. */
   def empty(n: Int): LocalGraph = fromEdges(n, Iterator.empty)
+}
+
+/** The one builder of subproblem graphs: the subgraph of `g` induced on an
+  * ascending vertex set, optionally keeping only the edges ranked after a
+  * cutoff. Each induced edge is found once, from its smaller endpoint, by
+  * probing the later members against that endpoint's list, so a member
+  * costs about min(its degree, the members after it) lookups and no build
+  * walks a hub's whole list. Holds scratch arrays: one instance per kernel.
+  */
+final class SubgraphBuilder(g: LocalGraph) {
+  private var hitIdx, hitPos = new Array[Int](64)
+  private var ids = new Array[Int](64)
+  private var ends = new Array[Int](128) // local endpoints of kept edge e at 2e and 2e + 1
+
+  /** Global ids of the last build's kept edges, in (i, j) order. */
+  var edgeIds: Array[Int] = Array.emptyIntArray
+
+  /** Sorted adjacency rows of the subgraph induced on the ascending `verts`,
+    * over local ids (row i is `verts(i)`). With `rank` non-null only the
+    * edges f with `rank(f) > r` are kept.
+    */
+  def build(verts: Array[Int], rank: Array[Int], r: Int): Array[Array[Int]] = {
+    val s = verts.length
+    if (hitIdx.length < s) { hitIdx = new Array[Int](s); hitPos = new Array[Int](s) }
+    val deg = new Array[Int](s)
+    var ne = 0
+    var i = 0
+    while (i < s) {
+      val h = g.probe(verts(i), verts, i + 1, s, hitIdx, hitPos)
+      var t = 0
+      while (t < h) {
+        val f = g.adjEdgeIds(hitPos(t))
+        if (rank == null || rank(f) > r) {
+          val j = hitIdx(t)
+          if (ne == ids.length) { ids = Arrays.copyOf(ids, 2 * ne); ends = Arrays.copyOf(ends, 4 * ne) }
+          ids(ne) = f; ends(2 * ne) = i; ends(2 * ne + 1) = j; ne += 1
+          deg(i) += 1; deg(j) += 1
+        }
+        t += 1
+      }
+      i += 1
+    }
+    edgeIds = Arrays.copyOf(ids, ne)
+    // Edges arrive in (i, j) order, so every row fills in ascending order.
+    val rows = new Array[Array[Int]](s)
+    i = 0
+    while (i < s) { rows(i) = new Array[Int](deg(i)); deg(i) = 0; i += 1 }
+    var e = 0
+    while (e < ne) {
+      val a = ends(2 * e); val b = ends(2 * e + 1)
+      rows(a)(deg(a)) = b; deg(a) += 1
+      rows(b)(deg(b)) = a; deg(b) += 1
+      e += 1
+    }
+    rows
+  }
 }

@@ -124,8 +124,6 @@ object SynthGraphs {
 
   def apply(name: String): LocalGraph = byName(name).build()
 
-  def specOf(name: String): SynthSpec = byName(name)
-
   /** The four default datasets of the paper's experiments. */
   val defaults: Vector[String] = Vector("WK", "PO", "ST", "OR")
 }

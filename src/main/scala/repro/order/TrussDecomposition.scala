@@ -20,9 +20,7 @@ final case class TrussResult(
     edgeRank: Array[Int],
     trussNumber: Array[Int],
     tau: Int
-) extends Serializable {
-  def kMax: Int = tau + 2
-}
+) extends Serializable
 
 /** Exact sequential truss decomposition via bucket-queue support peeling.
   *

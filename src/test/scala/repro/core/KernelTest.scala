@@ -18,7 +18,14 @@ object KernelFixtures {
     "twoComponents" -> GraphGen.disjointUnion(GraphGen.complete(7), GraphGen.gnp(30, 0.35, 5)),
     "sparse" -> GraphGen.gnm(80, 120, 6),
     "cycle12" -> GraphGen.cycle(12),
-    "counterexample" -> LocalGraph.fromEdges(4, Seq((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    "counterexample" -> LocalGraph.fromEdges(4, Seq((0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+    // A hub adjacent to all 299 other vertices, inside a planted 9-clique and
+    // over a gnp graph: its list is far longer than any candidate set, so
+    // lookups both into and from it take long gallops.
+    "hub" -> GraphGen.plantCliques(
+      LocalGraph.fromEdges(300, GraphGen.star(300).edges ++
+        GraphGen.gnp(40, 0.3, 7).edges.map { case (u, v) => (u + 100, v + 100) }),
+      Seq(0 +: (200 until 208)))
   )
 
   val ks: Seq[Int] = 3 to 6
@@ -238,6 +245,17 @@ class KernelEdgeCaseTest extends AnyFunSuite {
       assert((1 until et.length).forall(i => et(i - 1) != et(i)), s"k=$k: duplicate cliques emitted")
       assert(java.util.Arrays.equals(et, listing(k, Algos.BitCol)), s"k=$k")
     }
+  }
+
+  test("UK stand-in at k=4: EBBkC+ET under 10 s, BitCol under 3 s") {
+    // Guards the degree-bounded subproblem builds: walking a hub's whole
+    // list in every subproblem it joins took 63.6 s and 7.8 s here.
+    val g = SynthGraphs("UK")
+    val et = repro.util.Timer.time(KClique.count(g, 4, Algos.EBBkCET))
+    val bc = repro.util.Timer.time(KClique.count(g, 4, Algos.BitCol))
+    assert(et.result == bc.result)
+    assert(et.seconds < 10, f"EBBkC+ET took ${et.seconds}%.1f s")
+    assert(bc.seconds < 3, f"BitCol took ${bc.seconds}%.1f s")
   }
 
   test("EBBkC+ET count of the WK stand-in at k=8 allocates under 600 MB") {
