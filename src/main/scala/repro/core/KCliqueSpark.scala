@@ -8,17 +8,20 @@ import repro.graph.{GraphDF, LocalGraph}
   * The prepared graph (CSR + orderings) is broadcast; the unit of
   * distribution is a top-level subproblem of the chosen framework — one edge
   * of G for EBBkC and the EP scheme of VBBkC, one vertex for NP (exactly the
-  * parallel schemes compared in Section 6(7)). Subproblem ids flow through
-  * the Dataset API so the shuffle/scheduling path is Catalyst's; the deep
-  * branch-and-bound recursion runs inside `mapPartitions` where dataflow
-  * joins would be hopeless.
+  * parallel schemes compared in Section 6(7)). Nothing is shuffled: the
+  * edge table is collected as a narrow projection and canonicalized on the
+  * driver ([[GraphDF.toLocal]]), and the subproblem ids are dealt by stride
+  * over a `spark.range` of slot ids. The deep branch-and-bound recursion
+  * runs inside `mapPartitions` where dataflow joins would be hopeless.
   */
 object KCliqueSpark {
 
   def defaultPartitions(spark: SparkSession): Int =
     spark.sparkContext.defaultParallelism * 4
 
-  /** Counts k-cliques of a canonical edge table with the given algorithm. */
+  /** Counts k-cliques of a (src, dst) edge table, canonical or not (see
+    * [[GraphDF.toLocal]]), with the given algorithm.
+    */
   def count(spark: SparkSession, edges: DataFrame, k: Int, cfg: AlgoConfig, partitions: Int = 0): Long = {
     val localized = GraphDF.toLocal(edges)
     countLocal(spark, localized.graph, k, cfg, partitions)
@@ -31,7 +34,7 @@ object KCliqueSpark {
     import spark.implicits._
     val totals = fanOut(spark, KClique.prepare(g, k, cfg), partitions) { (kernel, it) =>
       val sink = new CountingSink
-      it.foreach(id => kernel.run(id.toInt, sink))
+      it.foreach(kernel.run(_, sink))
       Iterator.single(sink.total)
     }
     totals.fold(0L)(_.reduce((a: Long, b: Long) => Math.addExact(a, b)))
@@ -62,7 +65,7 @@ object KCliqueSpark {
       }
       it.flatMap { id =>
         buf = scala.collection.mutable.ArrayBuffer.empty[Seq[Long]]
-        kernel.run(id.toInt, sink)
+        kernel.run(id, sink)
         buf
       }
     }
@@ -70,18 +73,19 @@ object KCliqueSpark {
       .toDF("clique").selectExpr((1 to k).map(i => s"clique[${i - 1}] as v$i"): _*)
   }
 
-  /** The one fan-out: broadcasts `prep` and deals its subproblem ids over
-    * `partitions` partitions (default [[defaultPartitions]], at most one per
-    * id); each partition runs `body` with its own kernel. None when there is
-    * no subproblem.
+  /** The one fan-out: broadcasts `prep` and deals its subproblem ids by
+    * stride over `slots` = min(`partitions`, n) partitions (default
+    * [[defaultPartitions]]): partition s runs ids s, s + slots, s + 2·slots,
+    * … through `body` with its own kernel. No shuffle. None when there is no
+    * subproblem.
     */
   private def fanOut[T: Encoder](spark: SparkSession, prep: Prep, partitions: Int)(
-      body: (SubproblemKernel, Iterator[Long]) => Iterator[T]): Option[Dataset[T]] = {
+      body: (SubproblemKernel, Iterator[Int]) => Iterator[T]): Option[Dataset[T]] = {
     val n = prep.numSubproblems
     if (n == 0) return None
-    val parts = if (partitions > 0) partitions else defaultPartitions(spark)
+    val slots = math.min(if (partitions > 0) partitions else defaultPartitions(spark), n)
     val bc = spark.sparkContext.broadcast(prep)
-    import spark.implicits._
-    Some(spark.range(n).as[Long].repartition(math.min(parts, n)).mapPartitions(it => body(bc.value.newKernel(), it)))
+    Some(spark.range(0, slots, 1, slots).mapPartitions((it: Iterator[java.lang.Long]) =>
+      body(bc.value.newKernel(), it.flatMap(s => Iterator.range(s.intValue, n, slots)))))
   }
 }

@@ -7,22 +7,28 @@ import org.apache.spark.sql.functions._
   * (Zipf and uniform) edge generators, and conversions to/from the in-core
   * [[LocalGraph]] used by kernels.
   *
-  * Canonical form everywhere: columns `src`, `dst` (long) with `src < dst`,
-  * deduplicated, no self-loops — the same convention the DuckDB oracle
-  * queries assume.
+  * Canonical form, which [[canonicalize]] and the generators produce:
+  * columns `src`, `dst` (long) with `src < dst`, deduplicated, no self-loops
+  * — the same convention the DuckDB oracle queries assume. [[toLocal]]
+  * accepts any (src, dst) table and canonicalizes on the driver.
   */
 object GraphDF {
 
   /** Canonicalizes an arbitrary (src, dst) edge table. */
-  def canonicalize(edges: DataFrame): DataFrame = {
-    val e = edges.select(col("src").cast("long").as("src"), col("dst").cast("long").as("dst"))
-    e.where(col("src") =!= col("dst"))
+  def canonicalize(edges: DataFrame): DataFrame =
+    loopFree(edges)
       .select(
         least(col("src"), col("dst")).as("src"),
         greatest(col("src"), col("dst")).as("dst")
       )
       .distinct()
-  }
+
+  /** The (src, dst) columns as longs, self-loops dropped: a narrow
+    * projection, no shuffle.
+    */
+  private def loopFree(edges: DataFrame): DataFrame =
+    edges.select(col("src").cast("long").as("src"), col("dst").cast("long").as("dst"))
+      .where(col("src") =!= col("dst"))
 
   /** Skewed random edges: both endpoints Zipf(alpha)-distributed over vertex
     * ranks, like the hub-heavy social/web graphs of the paper's testbed.
@@ -63,24 +69,27 @@ object GraphDF {
     def toOrig(denseId: Int): Long = origIds(denseId)
   }
 
-  /** Collects a canonical edge table into a dense-id [[LocalGraph]].
-    * Isolated vertices (absent from every edge) are dropped — they cannot
-    * participate in any k-clique with k >= 2.
+  /** Collects any (src, dst) edge table into a dense-id [[LocalGraph]];
+    * the result equals that of its [[canonicalize]]d table. Only self-loops
+    * are dropped in Spark, a shuffle-free projection; orienting and deduping
+    * happen on the driver (in [[LocalGraph.fromEdges]]). Vertices absent
+    * from every non-loop edge get no id — they cannot participate in any
+    * k-clique with k >= 2.
     */
   def toLocal(edges: DataFrame): Localized = {
-    val rows = canonicalize(edges).collect()
-    // Endpoints as (src, dst) pairs, then sorted and deduplicated into ids.
-    val ends = new Array[Long](2 * rows.length)
+    val rows = loopFree(edges).collect()
+    LocalGraph.requireEdgeCount(rows.length)
+    // Every endpoint, sorted and deduplicated into ids.
+    val ids = new Array[Long](2 * rows.length)
     var i = 0
-    while (i < rows.length) { ends(2 * i) = rows(i).getLong(0); ends(2 * i + 1) = rows(i).getLong(1); i += 1 }
-    val ids = ends.clone()
+    while (i < rows.length) { ids(2 * i) = rows(i).getLong(0); ids(2 * i + 1) = rows(i).getLong(1); i += 1 }
     java.util.Arrays.sort(ids)
     var n = 0
     i = 0
     while (i < ids.length) { if (n == 0 || ids(i) != ids(n - 1)) { ids(n) = ids(i); n += 1 }; i += 1 }
     val origIds = java.util.Arrays.copyOf(ids, n)
-    def dense(e: Int): Int = java.util.Arrays.binarySearch(origIds, ends(e))
-    val g = LocalGraph.fromEdges(n, Iterator.range(0, rows.length).map(j => (dense(2 * j), dense(2 * j + 1))))
+    def dense(id: Long): Int = java.util.Arrays.binarySearch(origIds, id)
+    val g = LocalGraph.fromEdges(n, rows.iterator.map(r => (dense(r.getLong(0)), dense(r.getLong(1)))))
     Localized(g, origIds)
   }
 

@@ -90,6 +90,19 @@ final class LocalGraph private (
 
 object LocalGraph {
 
+  /** The most edges a graph may have: its adjacency arrays hold 2m Int
+    * entries, and 2m must stay a valid JVM array length (Int.MaxValue - 8,
+    * the bound `java.util.ArrayList` keeps). Just under 2^30, because 2 * 2^30
+    * already wraps an Int.
+    */
+  val MaxEdges: Int = (Int.MaxValue - 8) / 2
+
+  /** Fails loudly on an edge count past [[MaxEdges]]; checked before any
+    * array of 2m entries is allocated.
+    */
+  def requireEdgeCount(m: Long): Unit =
+    require(m <= MaxEdges, s"$m edges exceed the supported maximum of $MaxEdges (2m Int-indexed adjacency entries)")
+
   /** The first index in `from until hi` whose value in the ascending `arr`
     * is at least `x`, or `hi`: doubling steps from `from`, then bisection, so
     * a gap of g entries costs O(log g).
@@ -121,6 +134,7 @@ object LocalGraph {
       if (i == 0 || packed(i) != packed(i - 1)) { packed(m) = packed(i); m += 1 }
       i += 1
     }
+    requireEdgeCount(m)
 
     val edgeU = new Array[Int](m)
     val edgeV = new Array[Int](m)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.graph.{GraphDF, GraphGen}
+import repro.graph.{GraphDF, GraphGen, LocalGraph}
 
 /** Pure-Catalyst clique listing vs the DuckDB oracle and the kernels. */
 class CliqueDFTest extends SparkSpec {
@@ -120,6 +120,40 @@ class KCliqueSparkTest extends SparkSpec {
       assert(np == ep)
     }
   }
+
+  // The strided fan-out at every width, down to one subproblem per slot.
+  private val fanOutAlgos = Seq[AlgoConfig](Algos.EBBkCET, Algos.EBBkCT_ET,
+    Algos.VBBkCET.copy(edgeParallel = false), Algos.VBBkCET.copy(edgeParallel = true))
+  private def fanOutGraph(name: String): LocalGraph =
+    if (name == "localFixture") localFixture else KernelFixtures.graphs.toMap.apply(name)
+
+  for (gName <- Seq("localFixture", "hub"); cfg <- fanOutAlgos)
+    test(s"strided fan-out count equals serial at 1, 2, 7, 64 and > n partitions: ${cfg.name} on $gName") {
+      val g = fanOutGraph(gName)
+      val k = 5
+      val serial = KClique.count(g, k, cfg)
+      val n = KClique.prepare(g, k, cfg).numSubproblems
+      for (p <- Seq(1, 2, 7, 64, n + 3))
+        assert(KCliqueSpark.countLocal(spark, g, k, cfg, partitions = p) == serial, s"partitions=$p")
+    }
+
+  for (gName <- Seq("localFixture", "hub"); cfg <- fanOutAlgos)
+    test(s"strided fan-out listing equals the serial listing at 1 and 64 partitions: ${cfg.name} on $gName") {
+      import spark.implicits._
+      // Sparse ids, negative and near Long.MaxValue, mapped back through origIds.
+      def orig(v: Int): Long = Long.MaxValue - 7919L * (v + 1) * (v + 1) - (if (v % 2 == 0) Long.MaxValue else 0L)
+      val g = fanOutGraph(gName)
+      val edges = g.edges.map { case (u, v) => (orig(u), orig(v)) }.toSeq.toDF("src", "dst")
+      val loc = GraphDF.toLocal(edges)
+      val k = 4
+      val serial = KClique.list(loc.graph, k, cfg).map(_.map(loc.toOrig).sorted.toSeq).toSet
+      assert(serial.nonEmpty)
+      for (p <- Seq(1, 64)) {
+        val rows = KCliqueSpark.list(spark, edges, k, cfg, partitions = p).collect()
+          .map(r => (0 until k).map(r.getLong)).toSeq
+        assert(rows.length == serial.size && rows.toSet == serial, s"partitions=$p")
+      }
+    }
 
   test("distributed count equals DuckDB 4-clique count on a small graph") {
     val g = GraphGen.gnp(35, 0.35, seed = 44)

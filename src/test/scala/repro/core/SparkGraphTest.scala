@@ -30,6 +30,26 @@ class GraphDFTest extends SparkSpec {
     assert(loc.origIds.toSeq == Seq(10L, 1000L, 500000L))
   }
 
+  test("toLocal of a raw table equals toLocal of its canonical form") {
+    val big = Long.MaxValue
+    val raw = Seq(
+      (1L, 2L), (2L, 1L), (1L, 2L),       // reversed and exact duplicates
+      (7L, 7L), (2L, 2L),                 // self-loops; 7 appears in no other edge
+      (big, -5L), (-5L, big), (big - 1, big), (big, big),
+      (-9L, 2L), (2L, -9L), (-9L, -5L), (Long.MinValue, 1L)
+    ).toDF("src", "dst")
+    val got = GraphDF.toLocal(raw)
+    val want = GraphDF.toLocal(GraphDF.canonicalize(raw))
+    assert(got.origIds.toSeq == want.origIds.toSeq)
+    assert(got.origIds.toSeq == Seq(Long.MinValue, -9L, -5L, 1L, 2L, big - 1, big))
+    assert(!got.origIds.contains(7L))
+    assert(got.graph.n == want.graph.n && got.graph.m == want.graph.m && got.graph.m == 6)
+    assert(got.graph.offsets.toSeq == want.graph.offsets.toSeq)
+    assert(got.graph.adj.toSeq == want.graph.adj.toSeq)
+    assert(got.graph.edgeU.toSeq == want.graph.edgeU.toSeq)
+    assert(got.graph.edgeV.toSeq == want.graph.edgeV.toSeq)
+  }
+
   test("stats match the local graph") {
     val g = GraphGen.powerLaw(150, 600, 1.5, seed = 2)
     val (n, m, maxDeg) = GraphDF.stats(GraphDF.fromLocal(spark, g))

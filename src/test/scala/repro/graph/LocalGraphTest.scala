@@ -13,6 +13,15 @@ class LocalGraphTest extends AnyFunSuite {
     assert(!g.hasEdge(0, 2))
   }
 
+  test("edge counts past MaxEdges (2^30 and 2^30 + 1 among them) fail loudly") {
+    LocalGraph.requireEdgeCount(LocalGraph.MaxEdges)
+    assert(2L * LocalGraph.MaxEdges <= Int.MaxValue - 8)
+    for (m <- Seq(LocalGraph.MaxEdges + 1L, 1L << 30, (1L << 30) + 1)) {
+      val e = intercept[IllegalArgumentException](LocalGraph.requireEdgeCount(m))
+      assert(e.getMessage.contains(s"$m edges exceed"))
+    }
+  }
+
   test("edge ids are canonical-lexicographic and shared by both directions") {
     val g = LocalGraph.fromEdges(4, Seq((2, 3), (0, 1), (1, 2)))
     assert(g.edgeU.toSeq == Seq(0, 1, 2))
