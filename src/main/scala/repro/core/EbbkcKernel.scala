@@ -64,7 +64,8 @@ object EbbkcPrep {
   *
   * Hybrid path (EBBkC-H, Algorithm 5): the initial branch uses the truss
   * ordering; each resulting subgraph is colored and branched as a local
-  * [[BitDag]] with both color pruning rules.
+  * [[BitDag]] with both color pruning rules, its candidate sets one `Long`
+  * each when it has at most 64 vertices.
   *
   * Color path (EBBkC-C, Algorithm 4): one global [[ColorDag]]; each edge
   * subproblem intersects common out-neighborhoods.
@@ -95,6 +96,11 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   // branch graph needs more words, so branching itself allocates nothing.
   private val cuRows = Array.fill(k / 2 + 1)(Array.emptyLongArray)
   private val c2Rows = Array.fill(k / 2 + 1)(Array.emptyLongArray)
+  // A one-word branch graph (at most 64 vertices) keeps its candidate sets in
+  // `Long` values instead; the ET probe reads them from `etWord`, and
+  // colorMask(x) holds the graph's positions of color >= x.
+  private val etWord = new Array[Long](1)
+  private val colorMask = new Array[Long](k - 1)
 
   override def run(subId: Int, sink: CliqueSink): Unit = cfg.ordering match {
     case ColorOrdering => runColorSub(subId, sink)
@@ -265,10 +271,22 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       verts: Array[Int], adjL: Array[Array[Int]], edges: Array[Int], l0: Int, sink: CliqueSink): Unit = {
     if (finishTrussBranch(verts, edges, l0, 2, sink)) return
     val s = verts.length
-    // Branch graphs are bounded by tau, so candidate sets fit a handful of
-    // words — the same data-level parallelism BitCol enjoys.
+    // Branch graphs are bounded by tau (Eq. 5), so candidate sets fit a
+    // handful of words, and one word whenever s <= 64.
     val (order, colors) = ColorDag.colorOrder(adjL)
     val dag = ColorDag.buildBits(adjL, order, colors, verts)
+    if (dag.words == 1) {
+      // Colors descend with position, so each mask is a prefix.
+      var p = 0
+      var x = l0
+      while (x >= 0) {
+        while (p < s && dag.colors(p) >= x) p += 1
+        colorMask(x) = if (p == 0) 0L else -1L >>> (64 - p)
+        x -= 1
+      }
+      recW(dag, -1L >>> (64 - s), s, l0, 2, etHere = false, sink)
+      return
+    }
     if (cuRows(0).length < dag.words) {
       var i = 0
       while (i < cuRows.length) {
@@ -340,6 +358,44 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
         }
       }
       w += 1
+    }
+    if (total > 0) sink.onCount(total)
+  }
+
+  /** [[recH]] for a branch graph of at most 64 vertices: the same search
+    * tree, with each candidate set one `Long`. Rules (1a) and (1b) become
+    * masks: the members of color >= l are `c & colorMask(l)`.
+    */
+  private def recW(dag: BitDag, c: Long, cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
+    if (cnt < l) return
+    if (etHere) {
+      etWord(0) = c
+      if (dag.tryEarlyTerminate(etWord, cnt, l, etT, stack, sp, sink)) return
+    }
+    if (l == 1) { dag.emitSingles(c, cnt, stack, sp, sink); return }
+    if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
+    val leaves = l <= 4 && !sink.wantsCliques
+    val outRows = dag.outRows
+    var total = 0L
+    var bits = c & colorMask(l) // Rule (1a)
+    while (bits != 0) {
+      val u = java.lang.Long.numberOfTrailingZeros(bits)
+      bits &= bits - 1
+      val cu = c & outRows(u)(0)
+      var bits2 = cu & colorMask(l - 1) // Rule (1b)
+      while (bits2 != 0) {
+        val v = java.lang.Long.numberOfTrailingZeros(bits2)
+        bits2 &= bits2 - 1
+        val c2 = cu & outRows(v)(0)
+        val cnt2 = java.lang.Long.bitCount(c2)
+        if (leaves) {
+          if (l == 3) total += cnt2
+          else if (cnt2 >= 2) total += dag.pairsIn(c2)
+        } else if (cnt2 >= l - 2 && (!rule2 || l - 2 < 3 || dag.hasColors(c2, l - 2))) { // Rule (2)
+          stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
+          recW(dag, c2, cnt2, l - 2, sp + 2, etHere = true, sink)
+        }
+      }
     }
     if (total > 0) sink.onCount(total)
   }

@@ -66,6 +66,43 @@ class ColorDagTest extends AnyFunSuite {
     }
   }
 
+  test("one-word leaf helpers equal their multi-word twins on random member sets") {
+    // Keeps every emitted clique (stack prefix included) and sums the counts.
+    final class Recorder(listing: Boolean) extends CliqueSink {
+      val cliques = scala.collection.mutable.ArrayBuffer.empty[Seq[Int]]
+      var total = 0L
+      override def wantsCliques: Boolean = listing
+      override def onClique(stack: Array[Int], len: Int): Unit = cliques += stack.take(len).toSeq
+      override def onCount(c: Long): Unit = total += c
+    }
+    val rnd = new scala.util.Random(17)
+    for (g <- Seq(GraphGen.gnp(40, 0.3, 4), GraphGen.gnp(60, 0.5, 5))) {
+      val adjL = adjLists(g)
+      val (order, colors) = ColorDag.colorOrder(adjL)
+      val dag = ColorDag.buildBits(adjL, order, colors, Array.tabulate(g.n)(v => 1000 + v))
+      assert(dag.words == 1)
+      val numColors = dag.colors.distinct.length
+      val full = -1L >>> (64 - dag.s)
+      for (i <- 0 until 200) {
+        // The empty and full sets, then random ones of about s/2 and s/4 members.
+        val c = if (i < 2) i * full else full & rnd.nextLong() & (if (i % 2 == 0) rnd.nextLong() else -1L)
+        val row = Array(c)
+        val cnt = java.lang.Long.bitCount(c)
+        assert(dag.pairsIn(c) == dag.pairsIn(row))
+        for (need <- 1 to numColors + 1) assert(dag.hasColors(c, need) == dag.hasColors(row, need), s"need=$need")
+        for (listing <- Seq(false, true)) {
+          val stack = Array(7, 8, 0, 0)
+          val (a, b) = (new Recorder(listing), new Recorder(listing))
+          dag.emitSingles(c, cnt, stack, 2, a); dag.emitSingles(row, cnt, stack, 2, b)
+          dag.emitPairs(c, stack, 2, a); dag.emitPairs(row, stack, 2, b)
+          assert(a.total == b.total && a.cliques == b.cliques)
+          assert(a.cliques.forall(_.take(2) == Seq(7, 8)))
+          if (listing) assert(a.cliques.length == cnt + dag.pairsIn(c))
+        }
+      }
+    }
+  }
+
   test("the global EBBkC-C DAG is in color-descending order") {
     for (g <- graphs) {
       val prep = EbbkcPrep.build(g, 4, EbbkcAlgo(ColorOrdering))

@@ -196,7 +196,12 @@ class KernelEdgeCaseTest extends AnyFunSuite {
   }
 
   // Branch graphs and out-neighborhoods of more than 64 vertices take the
-  // multi-word bitset paths and grow the kernels' per-depth rows.
+  // multi-word bitset paths and grow the kernels' per-depth rows. K70
+  // (tau = 68, delta = 69) reaches BitCol's multi-word rows and, without ET
+  // and only at k = 5, 6 (leaf levels), EBBkC-H's multi-word recursion. The
+  // dense gnp (tau = 45, delta = 71) reaches only the VBBkC baselines'
+  // multi-word rows: all its EBBkC-H branch graphs are one word. The
+  // mixed-width fixture below runs EBBkC-H's multi-word recursion with ET.
   test("multi-word candidate sets: K70 counts are binomials") {
     val g = GraphGen.complete(70)
     for (k <- 3 to 6; cfg <- Seq[AlgoConfig](Algos.EBBkC, Algos.EBBkC.copy(rule2 = false), Algos.BitCol, Algos.BitColPlus))
@@ -245,6 +250,58 @@ class KernelEdgeCaseTest extends AnyFunSuite {
       assert((1 until et.length).forall(i => et(i - 1) != et(i)), s"k=$k: duplicate cliques emitted")
       assert(java.util.Arrays.equals(et, listing(k, Algos.BitCol)), s"k=$k")
     }
+  }
+
+  // A complete tripartite core K(70, 70, 70) with a 6-clique planted in
+  // each part, over a sparse background. Every core edge lies in at least 70
+  // triangles, so tau >= 65 and the first-peeled edges' EBBkC-H branch
+  // graphs (a part and its planted clique) span two words, while later and
+  // background edges get one-word branch graphs.
+  private lazy val mixedWidth: LocalGraph = {
+    val a = 70
+    val n = 3 * a + 90
+    val core = for (p <- 0 until 3; q <- p + 1 until 3; i <- 0 until a; j <- 0 until a) yield (p * a + i, q * a + j)
+    GraphGen.plantCliques(
+      LocalGraph.fromEdges(n, core ++ GraphGen.gnm(n, 500, 12).edges),
+      Seq(0 until 6, a until a + 6, 2 * a until 2 * a + 6))
+  }
+
+  test("mixed-width fixture: branch graphs of more and of at most 64 vertices") {
+    val g = mixedWidth
+    val truss = repro.order.TrussDecomposition.run(g)
+    val rank = truss.edgeRank
+    // |VSet(e)|: common neighbors through strictly later-ranked edges (Eq. 5).
+    val sizes = (0 until g.m).map { e =>
+      val u = g.edgeU(e); val v = g.edgeV(e)
+      g.neighborsOf(u).count { w =>
+        val ea = g.edgeIdOf(u, w); val eb = g.edgeIdOf(v, w)
+        eb >= 0 && rank(ea) > rank(e) && rank(eb) > rank(e)
+      }
+    }
+    assert(truss.tau >= 65 && sizes.max == truss.tau, s"tau = ${truss.tau}")
+    assert(sizes.count(_ > 64) > 0 && sizes.count(s => s >= 6 && s <= 64) > 0)
+  }
+
+  test("mixed-width fixture: EBBkC-H counts at k = 5..8 equal EBBkC-T's and BitCol's") {
+    val g = mixedWidth
+    val cfgs = Seq[AlgoConfig](Algos.EBBkC, Algos.EBBkC.copy(rule2 = false), Algos.EBBkCET) ++
+      (1 to 3).map(t => Algos.EBBkC.copy(et = EtFixed(t)))
+    for (k <- 5 to 8) {
+      val want = KClique.count(g, k, EbbkcAlgo(TrussOrdering))
+      assert(want > 0 && KClique.count(g, k, Algos.BitCol) == want, s"k=$k BitCol")
+      for (cfg <- cfgs) assert(KClique.count(g, k, cfg) == want, s"k=$k ${cfg.name}")
+    }
+  }
+
+  test("mixed-width fixture: EBBkC+ET's listing at k=7 equals BitCol's") {
+    // Each clique as one Long: its sorted ids, 9 bits each.
+    def keys(cfg: AlgoConfig): Array[Long] =
+      KClique.list(mixedWidth, 7, cfg).map(_.sorted.foldLeft(0L)((key, v) => (key << 9) | v)).toArray.sorted
+    val et = keys(Algos.EBBkCET)
+    val distinct = et.nonEmpty && (1 until et.length).forall(i => et(i - 1) != et(i))
+    assert(distinct, "duplicate cliques emitted")
+    val same = java.util.Arrays.equals(et, keys(Algos.BitCol))
+    assert(same, s"${et.length} cliques listed by EBBkC+ET")
   }
 
   test("UK stand-in at k=4: EBBkC+ET under 10 s, BitCol under 3 s") {
