@@ -139,9 +139,9 @@ final class ColorDag(
 /** [[ColorDag]] with `Long` bitset rows of `words` words each: the candidate
   * representation of EBBkC-H's branch graphs (at most tau vertices) and of
   * the SDegree/BitCol baselines. Candidate sets are bitsets over positions
-  * whose first `words` words are read. A DAG of at most 64 positions
-  * (`words == 1`) also takes candidate sets as one `Long`: each leaf helper
-  * has a one-word twin that reads only `outRows(_)(0)`.
+  * whose first `words` words are read. For a DAG of at most 64 positions,
+  * `pairsIn` and `hasColors` (the helpers on the counting path of EBBkC-H's
+  * one-word recursion) also take the set as one `Long`.
   */
 final class BitDag(
     val s: Int,
@@ -204,17 +204,6 @@ final class BitDag(
     }
   }
 
-  /** [[emitSingles]] for the one-word set `c` of `cnt` positions. */
-  def emitSingles(c: Long, cnt: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Unit = {
-    if (!sink.wantsCliques) { sink.onCount(cnt); return }
-    var bits = c
-    while (bits != 0) {
-      stack(sp) = toOuter(java.lang.Long.numberOfTrailingZeros(bits))
-      bits &= bits - 1
-      sink.onClique(stack, sp + 1)
-    }
-  }
-
   /** [[ColorDag#pairsIn]] for the bitset `c`: one popcount per member and
     * word. Out-rows point only to larger positions, so a member's row is
     * read from the member's own word on.
@@ -268,22 +257,6 @@ final class BitDag(
         }
       }
       w += 1
-    }
-  }
-
-  /** [[emitPairs]] for the one-word set `c`. */
-  def emitPairs(c: Long, stack: Array[Int], sp: Int, sink: CliqueSink): Unit = {
-    if (!sink.wantsCliques) { sink.onCount(pairsIn(c)); return }
-    var bits = c
-    while (bits != 0) {
-      val u = java.lang.Long.numberOfTrailingZeros(bits)
-      bits &= bits - 1
-      var bits2 = c & outRows(u)(0)
-      while (bits2 != 0) {
-        stack(sp) = toOuter(u); stack(sp + 1) = toOuter(java.lang.Long.numberOfTrailingZeros(bits2))
-        bits2 &= bits2 - 1
-        sink.onClique(stack, sp + 2)
-      }
     }
   }
 }

@@ -97,9 +97,9 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   private val cuRows = Array.fill(k / 2 + 1)(Array.emptyLongArray)
   private val c2Rows = Array.fill(k / 2 + 1)(Array.emptyLongArray)
   // A one-word branch graph (at most 64 vertices) keeps its candidate sets in
-  // `Long` values instead; the ET probe reads them from `etWord`, and
-  // colorMask(x) holds the graph's positions of color >= x.
-  private val etWord = new Array[Long](1)
+  // `Long` values instead; the ET probe and the l <= 2 emitters read them
+  // from `word`, and colorMask(x) holds the graph's positions of color >= x.
+  private val word = new Array[Long](1)
   private val colorMask = new Array[Long](k - 1)
 
   override def run(subId: Int, sink: CliqueSink): Unit = cfg.ordering match {
@@ -364,16 +364,15 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
 
   /** [[recH]] for a branch graph of at most 64 vertices: the same search
     * tree, with each candidate set one `Long`. Rules (1a) and (1b) become
-    * masks: the members of color >= l are `c & colorMask(l)`.
+    * masks: the members of color >= l are `c & colorMask(l)`. The ET probe
+    * and the l <= 2 emitters take the set through the one-word row `word`.
     */
   private def recW(dag: BitDag, c: Long, cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
     if (cnt < l) return
-    if (etHere) {
-      etWord(0) = c
-      if (dag.tryEarlyTerminate(etWord, cnt, l, etT, stack, sp, sink)) return
-    }
-    if (l == 1) { dag.emitSingles(c, cnt, stack, sp, sink); return }
-    if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
+    word(0) = c
+    if (etHere && dag.tryEarlyTerminate(word, cnt, l, etT, stack, sp, sink)) return
+    if (l == 1) { dag.emitSingles(word, cnt, stack, sp, sink); return }
+    if (l == 2) { dag.emitPairs(word, stack, sp, sink); return }
     val leaves = l <= 4 && !sink.wantsCliques
     val outRows = dag.outRows
     var total = 0L

@@ -66,7 +66,7 @@ class ColorDagTest extends AnyFunSuite {
     }
   }
 
-  test("one-word leaf helpers equal their multi-word twins on random member sets") {
+  test("one-word BitDag leaf helpers equal ColorDag's on random member sets") {
     // Keeps every emitted clique (stack prefix included) and sums the counts.
     final class Recorder(listing: Boolean) extends CliqueSink {
       val cliques = scala.collection.mutable.ArrayBuffer.empty[Seq[Int]]
@@ -79,25 +79,31 @@ class ColorDagTest extends AnyFunSuite {
     for (g <- Seq(GraphGen.gnp(40, 0.3, 4), GraphGen.gnp(60, 0.5, 5))) {
       val adjL = adjLists(g)
       val (order, colors) = ColorDag.colorOrder(adjL)
-      val dag = ColorDag.buildBits(adjL, order, colors, Array.tabulate(g.n)(v => 1000 + v))
-      assert(dag.words == 1)
+      val outer = Array.tabulate(g.n)(v => 1000 + v)
+      val dag = ColorDag.build(adjL, order, colors, outer)
+      val bits = ColorDag.buildBits(adjL, order, colors, outer)
+      assert(bits.words == 1)
       val numColors = dag.colors.distinct.length
       val full = -1L >>> (64 - dag.s)
       for (i <- 0 until 200) {
         // The empty and full sets, then random ones of about s/2 and s/4 members.
-        val c = if (i < 2) i * full else full & rnd.nextLong() & (if (i % 2 == 0) rnd.nextLong() else -1L)
-        val row = Array(c)
-        val cnt = java.lang.Long.bitCount(c)
-        assert(dag.pairsIn(c) == dag.pairsIn(row))
-        for (need <- 1 to numColors + 1) assert(dag.hasColors(c, need) == dag.hasColors(row, need), s"need=$need")
+        val w = if (i < 2) i * full else full & rnd.nextLong() & (if (i % 2 == 0) rnd.nextLong() else -1L)
+        val row = Array(w)
+        val c = bitsOf(row).toArray
+        // pairsIn and hasColors also take the set as a bare Long.
+        assert(bits.pairsIn(row) == dag.pairsIn(c) && bits.pairsIn(w) == dag.pairsIn(c))
+        for (need <- 1 to numColors + 1) {
+          val want = dag.hasColors(c, need)
+          assert(bits.hasColors(row, need) == want && bits.hasColors(w, need) == want, s"need=$need")
+        }
         for (listing <- Seq(false, true)) {
           val stack = Array(7, 8, 0, 0)
           val (a, b) = (new Recorder(listing), new Recorder(listing))
-          dag.emitSingles(c, cnt, stack, 2, a); dag.emitSingles(row, cnt, stack, 2, b)
-          dag.emitPairs(c, stack, 2, a); dag.emitPairs(row, stack, 2, b)
+          bits.emitSingles(row, c.length, stack, 2, a); dag.emitSingles(c, stack, 2, b)
+          bits.emitPairs(row, stack, 2, a); dag.emitPairs(c, stack, 2, b)
           assert(a.total == b.total && a.cliques == b.cliques)
           assert(a.cliques.forall(_.take(2) == Seq(7, 8)))
-          if (listing) assert(a.cliques.length == cnt + dag.pairsIn(c))
+          if (listing) assert(a.cliques.length == c.length + dag.pairsIn(c))
         }
       }
     }
