@@ -6,8 +6,8 @@ import repro.order.Coloring
   * p-th vertex of a vertex order, and every edge points to the larger
   * position. Under [[ColorDag.colorOrder]] (color descending, ties by id
   * ascending — Section 4.3) `colors` is non-increasing with position. This is
-  * the structure EBBkC-C branches on globally and the array VBBkC baselines
-  * build per subproblem; [[BitDag]] is the same DAG with bitset rows.
+  * the structure the array VBBkC baselines build per subproblem; [[BitDag]]
+  * is the same DAG with bitset rows.
   *
   * Besides the rows, the DAG owns the leaf work of every recursion over it:
   * the ET probe, which hands bitset rows to [[PlexListers]], and the l = 1 /
@@ -25,14 +25,7 @@ final class ColorDag(
     val und: Array[Array[Int]],
     val colors: Array[Int],
     val toOuter: Array[Int]
-) extends Serializable {
-
-  def approxBytes: Long = {
-    var b = 4L * (2 * s + 2)
-    var i = 0
-    while (i < s) { b += 4L * (out(i).length + und(i).length); i += 1 }
-    b
-  }
+) {
 
   /** Rule (2)'s test: whether the positions in `c` carry at least `need`
     * distinct colors. `c` is sorted and colors are non-increasing with
@@ -137,11 +130,12 @@ final class ColorDag(
 }
 
 /** [[ColorDag]] with `Long` bitset rows of `words` words each: the candidate
-  * representation of EBBkC-H's branch graphs (at most tau vertices) and of
-  * the SDegree/BitCol baselines. Candidate sets are bitsets over positions
-  * whose first `words` words are read. For a DAG of at most 64 positions,
-  * `pairsIn` and `hasColors` (the helpers on the counting path of EBBkC-H's
-  * one-word recursion) also take the set as one `Long`.
+  * representation of EBBkC-H's branch graphs (at most tau vertices), of
+  * EBBkC-C's edge subproblems and of the SDegree/BitCol baselines.
+  * Candidate sets are bitsets over positions whose first `words` words are
+  * read. For a DAG of at most 64 positions, `pairsIn` and `hasColors` (the
+  * helpers on the counting path of the one-word recursion) also take the
+  * set as one `Long`.
   */
 final class BitDag(
     val s: Int,
@@ -190,19 +184,8 @@ final class BitDag(
     t > 0 && l >= 3 && PlexListers.tryEarlyTerminate(stack, sp, c, cnt, undRows, toOuter, l, t, sink)
 
   /** [[ColorDag#emitSingles]] for the bitset `c` of `cnt` positions. */
-  def emitSingles(c: Array[Long], cnt: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Unit = {
-    if (!sink.wantsCliques) { sink.onCount(cnt); return }
-    var w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        stack(sp) = toOuter(u); sink.onClique(stack, sp + 1)
-      }
-      w += 1
-    }
-  }
+  def emitSingles(c: Array[Long], cnt: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Unit =
+    BitDag.emitSingles(c, cnt, words, toOuter, stack, sp, sink)
 
   /** [[ColorDag#pairsIn]] for the bitset `c`: one popcount per member and
     * word. Out-rows point only to larger positions, so a member's row is
@@ -262,6 +245,24 @@ final class BitDag(
 }
 
 object BitDag {
+
+  /** The l = 1 base case on the `cnt` members of the bitset `c` of `words`
+    * words: each completes a clique, emitted through `outer`.
+    */
+  def emitSingles(
+      c: Array[Long], cnt: Int, words: Int, outer: Array[Int], stack: Array[Int], sp: Int, sink: CliqueSink): Unit = {
+    if (!sink.wantsCliques) { sink.onCount(cnt); return }
+    var w = 0
+    while (w < words) {
+      var bits = c(w)
+      while (bits != 0) {
+        stack(sp) = outer((w << 6) + java.lang.Long.numberOfTrailingZeros(bits))
+        bits &= bits - 1
+        sink.onClique(stack, sp + 1)
+      }
+      w += 1
+    }
+  }
 
   /** Sets the first `(n + 63) / 64` words of `row` to the full set `0 until n`. */
   def fillAll(row: Array[Long], n: Int): Unit = {

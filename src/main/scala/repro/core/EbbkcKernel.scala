@@ -7,29 +7,26 @@ import repro.order.{Coloring, TrussDecomposition, TrussResult}
   * (Algorithms 2–5 of the paper).
   *
   * For the truss-based and hybrid orderings this holds the truss peel ranks
-  * (pi_tau); for the color-based ordering it holds a global [[ColorDag]] and
-  * the graph's edges mapped into position space. One subproblem = one edge of
-  * G, matching the paper's parallel scheme for EBBkC (Section 6(7)).
+  * (pi_tau). For the color-based ordering `g` is the input graph relabeled
+  * into color-position space, as [[VbbkcPrep]] relabels into degeneracy-rank
+  * space: vertex p is the p-th vertex by global color descending, so a
+  * vertex's out-neighbors (larger positions) are the suffix of its sorted
+  * list and `colors` is non-increasing with position. One subproblem = one
+  * edge of `g`, matching the paper's parallel scheme for EBBkC (Section 6(7)).
   */
 final class EbbkcPrep(
     val g: LocalGraph,
     val k: Int,
     val cfg: EbbkcAlgo,
     val truss: TrussResult, // null iff ColorOrdering
-    val cdag: ColorDag, // null unless ColorOrdering
-    val cEdgeU: Array[Int], // ColorOrdering: edge endpoints in position space (u < v)
-    val cEdgeV: Array[Int],
+    val colors: Array[Int], // ColorOrdering: color of each position; else null
+    val toOuter: Array[Int], // ColorOrdering: position -> input vertex id; else null
     val etT: Int // resolved early-termination threshold, 0 = off
 ) extends Prep {
   require(k >= 3, "k-clique listing starts at k = 3")
   override def numSubproblems: Int = g.m
   override def newKernel(): SubproblemKernel = new EbbkcKernel(this)
-  override def approxBytes: Long = {
-    var b = g.approxBytes
-    if (truss != null) b += 4L * (3 * g.m + 1)
-    if (cdag != null) b += cdag.approxBytes + 8L * g.m
-    b
-  }
+  override def approxBytes: Long = g.approxBytes + (if (truss != null) 4L * (3 * g.m + 1) else 8L * g.n)
 }
 
 object EbbkcPrep {
@@ -37,43 +34,35 @@ object EbbkcPrep {
   def build(g: LocalGraph, k: Int, cfg: EbbkcAlgo): EbbkcPrep = cfg.ordering match {
     case TrussOrdering | HybridOrdering =>
       val truss = TrussDecomposition.run(g)
-      new EbbkcPrep(g, k, cfg, truss, null, null, null, cfg.et.threshold(k, Some(truss.tau)))
+      new EbbkcPrep(g, k, cfg, truss, null, null, cfg.et.threshold(k, Some(truss.tau)))
     case ColorOrdering =>
       val colors = Coloring.inverseDegeneracy(g)
       val order = IntArrays.orderByKeyDesc(colors, g.n)
-      val dag = ColorDag.build(Array.tabulate(g.n)(g.neighborsOf), order, colors, Array.tabulate(g.n)(identity))
-      val posOf = ColorDag.positionsOf(order)
-      val cEU = new Array[Int](g.m)
-      val cEV = new Array[Int](g.m)
-      var e = 0
-      while (e < g.m) {
-        val pu = posOf(g.edgeU(e)); val pv = posOf(g.edgeV(e))
-        cEU(e) = math.min(pu, pv); cEV(e) = math.max(pu, pv)
-        e += 1
-      }
-      new EbbkcPrep(g, k, cfg, null, dag, cEU, cEV, cfg.et.threshold(k, None))
+      new EbbkcPrep(g.relabel(ColorDag.positionsOf(order)), k, cfg, null, order.map(colors(_)), order,
+        cfg.et.threshold(k, None))
   }
 }
 
-/** The EBBkC kernel: one instance per thread/partition.
+/** The EBBkC kernel: one instance per thread/partition. Every ordering
+  * branches on bitset rows local to one subproblem's branch graph.
   *
-  * Truss path (EBBkC-T, Algorithm 3): branches carry an explicit
-  * (vertex set, rank-filtered edge set) pair; sub-branches are formed by
-  * intersecting with the globally precomputed suffix structures, realized
-  * here as O(1) rank lookups on the CSR's parallel edge-id array.
+  * Truss path (EBBkC-T, Algorithm 3): the branch graph of a top-level edge
+  * keeps the builder's local ids; its edges are local endpoint pairs in
+  * pi_tau order, and each branching depth has its own adjacency rows.
   *
   * Hybrid path (EBBkC-H, Algorithm 5): the initial branch uses the truss
   * ordering; each resulting subgraph is colored and branched as a local
-  * [[BitDag]] with both color pruning rules, its candidate sets one `Long`
-  * each when it has at most 64 vertices.
+  * [[BitDag]] with both color pruning rules.
   *
-  * Color path (EBBkC-C, Algorithm 4): one global [[ColorDag]]; each edge
-  * subproblem intersects common out-neighborhoods.
+  * Color path (EBBkC-C, Algorithm 4): each edge of the color-position graph
+  * gives the subgraph on its common out-neighbors, a [[BitDag]] in position
+  * order with the global colors, branched like EBBkC-H's.
   *
   * The two color recursions pick a directed edge (u -> v), intersect common
-  * out-neighborhoods and apply the pruning rules of Section 4.3. Uniqueness
-  * follows from the DAG orientation: each l-clique is generated from its two
-  * smallest positions.
+  * out-neighborhoods and apply the pruning rules of Section 4.3, with each
+  * candidate set one `Long` when the DAG has at most 64 vertices.
+  * Uniqueness follows from the DAG orientation: each l-clique is generated
+  * from its two smallest positions.
   */
 final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   private val g = prep.g
@@ -84,21 +73,29 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   private val rank: Array[Int] = if (prep.truss != null) prep.truss.edgeRank else null
 
   private val stack = new Array[Int](k)
-  // Stamped scratch maps over global vertex ids (no clearing between uses).
-  private val stampOf = new Array[Int](g.n)
-  private val localIdx = new Array[Int](g.n)
-  private var stamp = 0
   private val sub = new SubgraphBuilder(g)
   private val hitIdx, hitPos = new Array[Int](g.maxDegree) // VSet(e) lookups
-  // EBBkC-H candidate rows, one pair per edge-branching depth: the branch at
-  // stack depth sp builds c_u in cuRows(sp / 2) and c_uv in c2Rows(sp / 2);
-  // c2Rows(0) holds a branch graph's full vertex set. Rows grow only when a
-  // branch graph needs more words, so branching itself allocates nothing.
+  // A truss-level branch graph at EBBkC-T branching depth d (stack depth
+  // 2d + 2): its member set tV(d), adjacency rows tRows(d) over the
+  // builder's local ids, and edges tEnds(d) (local endpoints of edge i at 2i
+  // and 2i + 1, in pi_tau order). EBBkC-H's truss-level ET probe reads depth
+  // 0. Rows have the current graph's word count; they are reallocated only
+  // when that changes or a graph has more vertices (edges, for tEnds) than
+  // they hold.
+  private val depths = k / 2
+  private var tWords = 0
+  private val tV = new Array[Array[Long]](depths)
+  private val tRows = Array.fill(depths)(new Array[Array[Long]](0))
+  private val tEnds = Array.fill(depths)(Array.emptyIntArray)
+  // EBBkC-H/C candidate rows, one pair per edge-branching depth: the branch
+  // at stack depth sp builds c_u in cuRows(sp / 2) and c_uv in c2Rows(sp / 2);
+  // c2Rows(0) holds a DAG's full vertex set. Rows grow only when a DAG needs
+  // more words, so branching itself allocates nothing.
   private val cuRows = Array.fill(k / 2 + 1)(Array.emptyLongArray)
   private val c2Rows = Array.fill(k / 2 + 1)(Array.emptyLongArray)
-  // A one-word branch graph (at most 64 vertices) keeps its candidate sets in
-  // `Long` values instead; the ET probe and the l <= 2 emitters read them
-  // from `word`, and colorMask(x) holds the graph's positions of color >= x.
+  // A one-word DAG (at most 64 vertices) keeps its candidate sets in `Long`
+  // values instead; the ET probe and the l <= 2 emitters read them from
+  // `word`, and colorMask(x) holds the DAG's positions of color >= x.
   private val word = new Array[Long](1)
   private val colorMask = new Array[Long](k - 1)
 
@@ -130,135 +127,148 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       t += 1
     }
     if (nv < l0) return
+    stack(0) = u; stack(1) = v
+    if (l0 == 1) { // k = 3: each member of VSet(e) completes a triangle
+      if (!sink.wantsCliques) sink.onCount(nv)
+      else for (i <- 0 until nv) { stack(2) = vset(i); sink.onClique(stack, 3) }
+      return
+    }
     val verts = if (nv == h) vset else java.util.Arrays.copyOf(vset, nv)
 
-    // The branch graph: VSet(e) with its edges ranked after e, ESet(e). Only
-    // EBBkC-T branches on ESet(e), in rank order; EBBkC-H colors the rows.
-    val adjL = if (l0 >= 2) sub.build(verts, rank, r) else null
-    val edges = if (l0 >= 2) sub.edgeIds else Array.emptyIntArray
-    stack(0) = u; stack(1) = v
-    if (cfg.ordering == HybridOrdering) runHybridBranch(verts, adjL, edges, l0, sink)
-    else recT(verts, sortedByRank(edges), l0, 2, sink)
+    // The branch graph: VSet(e) with its edges ranked after e, ESet(e), in
+    // the builder's local ids. Only EBBkC-T branches on ESet(e), in rank
+    // order; EBBkC-H colors the rows.
+    val adjL = sub.build(verts, rank, r)
+    if (cfg.ordering == HybridOrdering) runHybridBranch(verts, adjL, l0, sink)
+    else {
+      loadRows(adjL)
+      recT(verts, 0, nv, loadEdgesByRank(), l0, sink)
+    }
   }
 
-  /** `edges` sorted by rank, as packed (rank, id) keys. */
-  private def sortedByRank(edges: Array[Int]): Array[Int] = {
-    val packed = new Array[Long](edges.length)
+  /** Loads the truss-level branch graph `adjL` into depth 0: its full member
+    * set tV(0) and its adjacency rows tRows(0).
+    */
+  private def loadRows(adjL: Array[Array[Int]]): Unit = {
+    val s = adjL.length
+    val words = (s + 63) >>> 6
+    if (words != tWords || tRows(0).length < s) {
+      for (d <- 0 until depths) { tRows(d) = Array.ofDim[Long](s, words); tV(d) = new Array[Long](words) }
+      tWords = words
+    }
+    val rows = tRows(0)
+    var x = 0
+    while (x < s) {
+      val row = rows(x); val nb = adjL(x)
+      java.util.Arrays.fill(row, 0L)
+      var j = 0
+      while (j < nb.length) { row(nb(j) >>> 6) |= 1L << (nb(j) & 63); j += 1 }
+      x += 1
+    }
+    BitDag.fillAll(tV(0), s)
+  }
+
+  /** Loads the last build's edges into tEnds(0), in pi_tau order; returns their number. */
+  private def loadEdgesByRank(): Int = {
+    val ne = sub.numEdges
+    if (tEnds(0).length < 2 * ne) for (d <- 0 until depths) tEnds(d) = new Array[Int](2 * ne)
+    val packed = new Array[Long](ne)
     var i = 0
-    while (i < edges.length) { packed(i) = (rank(edges(i)).toLong << 32) | edges(i); i += 1 }
+    while (i < ne) { packed(i) = (rank(sub.edgeIds(i)).toLong << 32) | i; i += 1 }
     java.util.Arrays.sort(packed)
-    packed.map(_.toInt)
-  }
-
-  /** The leaf work of a truss-level branch graph (verts, edges), shared by
-    * EBBkC-T's recursion and EBBkC-H's top level: the size check, the ET
-    * probe on the edge list, and the l = 1 / l = 2 base cases. Returns true
-    * iff the branch needs no further branching.
-    */
-  private def finishTrussBranch(verts: Array[Int], edges: Array[Int], l: Int, sp: Int, sink: CliqueSink): Boolean = {
-    if (verts.length < l) return true
-    if (etT > 0 && l >= 3) {
-      val rows = rowsFromEdgesIfPlex(verts, edges)
-      if (rows != null) {
-        val all = new Array[Long](rows(0).length)
-        BitDag.fillAll(all, verts.length)
-        if (PlexListers.tryEarlyTerminate(stack, sp, all, verts.length, rows, verts, l, etT, sink)) return true
-      }
-    }
-    if (l == 1) {
-      if (!sink.wantsCliques) sink.onCount(verts.length)
-      else {
-        var i = 0
-        while (i < verts.length) { stack(sp) = verts(i); sink.onClique(stack, sp + 1); i += 1 }
-      }
-      return true
-    }
-    if (l == 2) {
-      if (!sink.wantsCliques) sink.onCount(edges.length)
-      else {
-        var i = 0
-        while (i < edges.length) {
-          val f = edges(i)
-          stack(sp) = g.edgeU(f); stack(sp + 1) = g.edgeV(f)
-          sink.onClique(stack, sp + 2)
-          i += 1
-        }
-      }
-      return true
-    }
-    false
-  }
-
-  /** Bitset adjacency of the branch graph (verts, edges) over local ids for
-    * the ET check, or null where the edge count alone rules out a t-plex:
-    * every degree at least nv - t needs 2|E| >= nv (nv - t).
-    */
-  private def rowsFromEdgesIfPlex(verts: Array[Int], edges: Array[Int]): Array[Array[Long]] = {
-    val nv = verts.length
-    if (2L * edges.length < nv.toLong * (nv - etT)) return null
-    var i = 0
-    while (i < nv) { localIdx(verts(i)) = i; i += 1 }
-    val rows = Array.ofDim[Long](nv, (nv + 63) >>> 6)
+    val ends = tEnds(0)
     i = 0
-    while (i < edges.length) {
-      val f = edges(i)
-      val a = localIdx(g.edgeU(f)); val b = localIdx(g.edgeV(f))
-      rows(a)(b >>> 6) |= 1L << (b & 63)
-      rows(b)(a >>> 6) |= 1L << (a & 63)
+    while (i < ne) {
+      val f = packed(i).toInt
+      ends(2 * i) = sub.ends(2 * f); ends(2 * i + 1) = sub.ends(2 * f + 1)
       i += 1
     }
-    rows
+    ne
   }
+
+  /** Whether a graph of nv vertices and ne edges can pass the ET probe: every
+    * degree at least nv - t needs 2 ne >= nv (nv - t).
+    */
+  private def mayBePlex(nv: Int, ne: Int): Boolean = etT > 0 && 2L * ne >= nv.toLong * (nv - etT)
+
+  /** The l = 2 base case of a truss-level branch graph: each of its `ne` edges,
+    * local endpoints at `ends(2i)` and `ends(2i + 1)`, completes a clique.
+    */
+  private def emitEdges(ends: Array[Int], ne: Int, verts: Array[Int], sp: Int, sink: CliqueSink): Unit =
+    if (!sink.wantsCliques) sink.onCount(ne)
+    else {
+      var i = 0
+      while (i < ne) {
+        stack(sp) = verts(ends(2 * i)); stack(sp + 1) = verts(ends(2 * i + 1))
+        sink.onClique(stack, sp + 2)
+        i += 1
+      }
+    }
 
   // ------------------------------------------------------------ EBBkC-T body
 
-  /** Algorithm 3's recursion: branch on every edge of the current graph in
-    * pi_tau order; each sub-branch keeps only later-ranked structure.
+  /** Algorithm 3's recursion on the branch graph at depth d: the `cnt`
+    * members of tV(d), their rows tRows(d) and the `ne` edges of tEnds(d).
+    * Branching on edge i first clears it from the rows, which then hold
+    * exactly the edges after i: V(g') = rows(a) & rows(b), each member x of
+    * V(g') keeps rows(x) & V(g'), and E(g') is the later edges inside V(g').
+    * A counting branch at l <= 4 adds its children's |V(g')| (l = 3) or
+    * |E(g')| (l = 4) in place.
     */
-  private def recT(verts: Array[Int], edges: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
-    if (finishTrussBranch(verts, edges, l, sp, sink)) return
+  private def recT(verts: Array[Int], d: Int, cnt: Int, ne: Int, l: Int, sink: CliqueSink): Unit = {
+    val sp = 2 * d + 2
+    val c = tV(d); val rows = tRows(d); val ends = tEnds(d)
+    if (l >= 3 && mayBePlex(cnt, ne) && PlexListers.tryEarlyTerminate(stack, sp, c, cnt, rows, verts, l, etT, sink))
+      return
+    val words = tWords
+    if (l == 1) { BitDag.emitSingles(c, cnt, words, verts, stack, sp, sink); return }
+    if (l == 2) { emitEdges(ends, ne, verts, sp, sink); return }
+    val leaves = l <= 4 && !sink.wantsCliques
+    // Each child g': its member set V(g'), rows and edges.
+    val cc = tV(d + 1); val cRows = tRows(d + 1); val cEnds = tEnds(d + 1)
+    var total = 0L
     var i = 0
-    while (i < edges.length) {
-      val f = edges(i)
-      val a = g.edgeU(f); val b = g.edgeV(f)
-      val rf = rank(f)
-      // V(g') = V(g) ∩ VSet(f): neighbors of both a and b via later edges.
-      val next = new Array[Int](verts.length)
+    while (i < ne) {
+      val a = ends(2 * i); val b = ends(2 * i + 1)
+      val ra = rows(a); val rb = rows(b)
+      ra(b >>> 6) &= ~(1L << (b & 63)); rb(a >>> 6) &= ~(1L << (a & 63))
       var nn = 0
-      var j = 0
-      while (j < verts.length) {
-        val w = verts(j)
-        if (w != a && w != b) {
-          val ea = g.edgeIdOf(a, w)
-          if (ea >= 0 && rank(ea) > rf) {
-            val eb = g.edgeIdOf(b, w)
-            if (eb >= 0 && rank(eb) > rf) { next(nn) = w; nn += 1 }
+      var w = 0
+      while (w < words) { cc(w) = ra(w) & rb(w); nn += java.lang.Long.bitCount(cc(w)); w += 1 }
+      if (nn >= l - 2) {
+        var ce = 0
+        if (l >= 4) {
+          var j = i + 1
+          while (j < ne) {
+            val x = ends(2 * j); val y = ends(2 * j + 1)
+            if ((cc(x >>> 6) & (1L << (x & 63))) != 0 && (cc(y >>> 6) & (1L << (y & 63))) != 0) {
+              cEnds(2 * ce) = x; cEnds(2 * ce + 1) = y; ce += 1
+            }
+            j += 1
           }
         }
-        j += 1
-      }
-      if (nn >= l - 2) {
-        val nextVerts = java.util.Arrays.copyOf(next, nn)
-        val nextEdges =
-          if (l - 2 >= 2) {
-            // E(g') = E(g) ∩ ESet(f): later-ranked survivors within V(g').
-            stamp += 1
-            var q = 0
-            while (q < nn) { stampOf(nextVerts(q)) = stamp; q += 1 }
-            val buf = new scala.collection.mutable.ArrayBuffer[Int]
-            var j2 = i + 1
-            while (j2 < edges.length) {
-              val f2 = edges(j2)
-              if (stampOf(g.edgeU(f2)) == stamp && stampOf(g.edgeV(f2)) == stamp) buf += f2
-              j2 += 1
+        if (leaves) total += (if (l == 3) nn else ce)
+        else {
+          if (l >= 5) {
+            w = 0
+            while (w < words) {
+              var bits = cc(w)
+              while (bits != 0) {
+                val x = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+                bits &= bits - 1
+                var ww = 0
+                while (ww < words) { cRows(x)(ww) = rows(x)(ww) & cc(ww); ww += 1 }
+              }
+              w += 1
             }
-            buf.toArray
-          } else Array.emptyIntArray
-        stack(sp) = a; stack(sp + 1) = b
-        recT(nextVerts, nextEdges, l - 2, sp + 2, sink)
+          }
+          stack(sp) = verts(a); stack(sp + 1) = verts(b)
+          recT(verts, d + 1, nn, ce, l - 2, sink)
+        }
       }
       i += 1
     }
+    if (total > 0) sink.onCount(total)
   }
 
   // ------------------------------------------------------------ EBBkC-H body
@@ -267,42 +277,48 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     * color-DAG recursion. ET is probed first so dense branch graphs skip the
     * coloring altogether.
     */
-  private def runHybridBranch(
-      verts: Array[Int], adjL: Array[Array[Int]], edges: Array[Int], l0: Int, sink: CliqueSink): Unit = {
-    if (finishTrussBranch(verts, edges, l0, 2, sink)) return
+  private def runHybridBranch(verts: Array[Int], adjL: Array[Array[Int]], l0: Int, sink: CliqueSink): Unit = {
     val s = verts.length
-    // Branch graphs are bounded by tau (Eq. 5), so candidate sets fit a
-    // handful of words, and one word whenever s <= 64.
+    val ne = sub.numEdges
+    if (l0 >= 3 && mayBePlex(s, ne)) {
+      loadRows(adjL)
+      if (PlexListers.tryEarlyTerminate(stack, 2, tV(0), s, tRows(0), verts, l0, etT, sink)) return
+    }
+    if (l0 == 2) { emitEdges(sub.ends, ne, verts, 2, sink); return }
     val (order, colors) = ColorDag.colorOrder(adjL)
-    val dag = ColorDag.buildBits(adjL, order, colors, verts)
+    branchOn(ColorDag.buildBits(adjL, order, colors, verts), l0, etHere = false, sink)
+  }
+
+  /** Branches on a color-ordered DAG with `l` vertices left to pick: its
+    * candidate sets are one `Long` each when it has one word, word rows
+    * otherwise. `etHere` probes ET on the full vertex set first.
+    */
+  private def branchOn(dag: BitDag, l: Int, etHere: Boolean, sink: CliqueSink): Unit = {
+    val s = dag.s
     if (dag.words == 1) {
       // Colors descend with position, so each mask is a prefix.
       var p = 0
-      var x = l0
+      var x = l
       while (x >= 0) {
         while (p < s && dag.colors(p) >= x) p += 1
         colorMask(x) = if (p == 0) 0L else -1L >>> (64 - p)
         x -= 1
       }
-      recW(dag, -1L >>> (64 - s), s, l0, 2, etHere = false, sink)
+      recW(dag, -1L >>> (64 - s), s, l, 2, etHere, sink)
       return
     }
-    if (cuRows(0).length < dag.words) {
-      var i = 0
-      while (i < cuRows.length) {
-        cuRows(i) = new Array[Long](dag.words); c2Rows(i) = new Array[Long](dag.words); i += 1
-      }
-    }
+    if (cuRows(0).length < dag.words)
+      for (i <- cuRows.indices) { cuRows(i) = new Array[Long](dag.words); c2Rows(i) = new Array[Long](dag.words) }
     val full = c2Rows(0)
     BitDag.fillAll(full, s)
-    recH(dag, full, s, l0, 2, etHere = false, sink)
+    recH(dag, full, s, l, 2, etHere, sink)
   }
 
-  /** Word-parallel edge branching over the branch graph's [[BitDag]]. The
-    * candidate sets of the branch at stack depth sp live in `cuRows(sp / 2)`
-    * and `c2Rows(sp / 2)`, each at least `dag.words` long. A counting branch
-    * at l <= 4 sums its children's leaf counts in place (|c_uv| at l = 3,
-    * the pairs in c_uv at l = 4) and hands the sink their total.
+  /** Word-parallel edge branching over a [[BitDag]]. The candidate sets of
+    * the branch at stack depth sp live in `cuRows(sp / 2)` and
+    * `c2Rows(sp / 2)`, each at least `dag.words` long. A counting branch at
+    * l <= 4 sums its children's leaf counts in place (|c_uv| at l = 3, the
+    * pairs in c_uv at l = 4) and hands the sink their total.
     */
   private def recH(
       dag: BitDag, c: Array[Long], cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
@@ -362,10 +378,10 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     if (total > 0) sink.onCount(total)
   }
 
-  /** [[recH]] for a branch graph of at most 64 vertices: the same search
-    * tree, with each candidate set one `Long`. Rules (1a) and (1b) become
-    * masks: the members of color >= l are `c & colorMask(l)`. The ET probe
-    * and the l <= 2 emitters take the set through the one-word row `word`.
+  /** [[recH]] for a DAG of at most 64 vertices: the same search tree, with
+    * each candidate set one `Long`. Rules (1a) and (1b) become masks: the
+    * members of color >= l are `c & colorMask(l)`. The ET probe and the
+    * l <= 2 emitters take the set through the one-word row `word`.
     */
   private def recW(dag: BitDag, c: Long, cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
     if (cnt < l) return
@@ -401,52 +417,26 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
 
   // ------------------------------------------------------------ EBBkC-C body
 
-  /** Algorithm 4: one edge of the global color DAG per subproblem, with both
-    * pruning rules applied before descending.
+  /** Algorithm 4: one edge (u, v), u < v, of the color-position graph per
+    * subproblem, with both pruning rules applied before descending. Its
+    * common out-neighbors are v's out-suffix probed in u's list; their
+    * subgraph, in position order with the global colors, goes to the same
+    * DAG recursions as EBBkC-H's branch graphs.
     */
   private def runColorSub(e: Int, sink: CliqueSink): Unit = {
-    val dag = prep.cdag
-    val u = prep.cEdgeU(e); val v = prep.cEdgeV(e)
+    val colors = prep.colors
+    val u = g.edgeU(e); val v = g.edgeV(e)
     val l0 = k - 2
     // Rule (1) at the initial branch (l = k).
-    if (dag.colors(u) < k || dag.colors(v) < k - 1) return
-    val c0 = IntArrays.intersectSorted(dag.out(u), dag.out(v))
-    if (c0.length < l0) return
-    stack(0) = dag.toOuter(u); stack(1) = dag.toOuter(v)
-    if (rule2 && l0 >= 3 && !dag.hasColors(c0, l0)) return // Rule (2)
-    recC(dag, c0, l0, 2, sink)
-  }
-
-  /** Edge branching over the global [[ColorDag]] on sorted position arrays,
-    * with [[recH]]'s in-place leaf counts at l <= 4.
-    */
-  private def recC(dag: ColorDag, c: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
-    if (c.length < l) return
-    if (dag.tryEarlyTerminate(c, l, etT, stack, sp, sink)) return
-    if (l == 1) { dag.emitSingles(c, stack, sp, sink); return }
-    if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
-    val leaves = l <= 4 && !sink.wantsCliques
-    var total = 0L
-    var ui = 0
-    while (ui < c.length && dag.colors(c(ui)) >= l) { // Rule (1a); colors non-increasing along c
-      val u = c(ui)
-      val cu = IntArrays.intersectSorted(c, dag.out(u))
-      var vi = 0
-      while (vi < cu.length && dag.colors(cu(vi)) >= l - 1) { // Rule (1b)
-        val v = cu(vi)
-        if (leaves && l == 3) total += IntArrays.intersectionSize(cu, dag.out(v))
-        else {
-          val c2 = IntArrays.intersectSorted(cu, dag.out(v))
-          if (leaves) total += dag.pairsIn(c2)
-          else if (c2.length >= l - 2 && (!rule2 || l - 2 < 3 || dag.hasColors(c2, l - 2))) { // Rule (2)
-            stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
-            recC(dag, c2, l - 2, sp + 2, sink)
-          }
-        }
-        vi += 1
-      }
-      ui += 1
-    }
-    if (total > 0) sink.onCount(total)
+    if (colors(u) < k || colors(v) < k - 1) return
+    val h = g.probe(u, g.adj, g.outStart(v), g.offsets(v + 1), hitIdx, hitPos)
+    if (h < l0) return
+    val verts = Array.tabulate(h)(i => g.adj(hitPos(i)))
+    val vColors = verts.map(colors(_))
+    // Rule (2): colors descend along verts, so each new one is a change.
+    if (rule2 && l0 >= 3 && (1 until h).count(i => vColors(i) != vColors(i - 1)) + 1 < l0) return
+    val dag = ColorDag.buildBits(sub.build(verts, null, 0), Array.tabulate(h)(identity), vColors, verts.map(prep.toOuter(_)))
+    stack(0) = prep.toOuter(u); stack(1) = prep.toOuter(v)
+    branchOn(dag, l0, etHere = true, sink)
   }
 }

@@ -181,11 +181,13 @@ object LocalGraph {
   */
 final class SubgraphBuilder(g: LocalGraph) {
   private var hitIdx, hitPos = new Array[Int](64)
-  private var ids = new Array[Int](64)
-  private var ends = new Array[Int](128) // local endpoints of kept edge e at 2e and 2e + 1
-
-  /** Global ids of the last build's kept edges, in (i, j) order. */
-  var edgeIds: Array[Int] = Array.emptyIntArray
+  /** The last build's `numEdges` kept edges, in (i, j) order: the global
+    * id of edge e at `edgeIds(e)`, its local endpoints i < j at `ends(2e)`
+    * and `ends(2e + 1)`.
+    */
+  var numEdges = 0
+  var edgeIds = new Array[Int](64)
+  var ends = new Array[Int](128)
 
   /** Sorted adjacency rows of the subgraph induced on the ascending `verts`,
     * over local ids (row i is `verts(i)`). With `rank` non-null only the
@@ -204,15 +206,15 @@ final class SubgraphBuilder(g: LocalGraph) {
         val f = g.adjEdgeIds(hitPos(t))
         if (rank == null || rank(f) > r) {
           val j = hitIdx(t)
-          if (ne == ids.length) { ids = Arrays.copyOf(ids, 2 * ne); ends = Arrays.copyOf(ends, 4 * ne) }
-          ids(ne) = f; ends(2 * ne) = i; ends(2 * ne + 1) = j; ne += 1
+          if (ne == edgeIds.length) { edgeIds = Arrays.copyOf(edgeIds, 2 * ne); ends = Arrays.copyOf(ends, 4 * ne) }
+          edgeIds(ne) = f; ends(2 * ne) = i; ends(2 * ne + 1) = j; ne += 1
           deg(i) += 1; deg(j) += 1
         }
         t += 1
       }
       i += 1
     }
-    edgeIds = Arrays.copyOf(ids, ne)
+    numEdges = ne
     // Edges arrive in (i, j) order, so every row fills in ascending order.
     val rows = new Array[Array[Int]](s)
     i = 0

@@ -197,14 +197,20 @@ class KernelEdgeCaseTest extends AnyFunSuite {
 
   // Branch graphs and out-neighborhoods of more than 64 vertices take the
   // multi-word bitset paths and grow the kernels' per-depth rows. K70
-  // (tau = 68, delta = 69) reaches BitCol's multi-word rows and, without ET
-  // and only at k = 5, 6 (leaf levels), EBBkC-H's multi-word recursion. The
-  // dense gnp (tau = 45, delta = 71) reaches only the VBBkC baselines'
-  // multi-word rows: all its EBBkC-H branch graphs are one word. The
-  // mixed-width fixture below runs EBBkC-H's multi-word recursion with ET.
+  // (tau = 68, delta = 69) reaches BitCol's multi-word rows and the
+  // multi-word recursion recH: from EBBkC-H without ET and only at k = 5, 6
+  // (leaf levels), from EBBkC-C at every k, since its first edges' common
+  // out-neighborhoods hold up to 68 vertices (EBBkC-C+ET settles those at
+  // its top-level ET probe from k = 5 on). The dense gnp (tau = 45,
+  // delta = 71) reaches only the VBBkC baselines' multi-word rows: all its
+  // EBBkC-H branch graphs are one word. The mixed-width fixture below runs
+  // recH with ET from EBBkC-H and EBBkC-C, and EBBkC-T's two-word rows and
+  // ET probe.
   test("multi-word candidate sets: K70 counts are binomials") {
     val g = GraphGen.complete(70)
-    for (k <- 3 to 6; cfg <- Seq[AlgoConfig](Algos.EBBkC, Algos.EBBkC.copy(rule2 = false), Algos.BitCol, Algos.BitColPlus))
+    val cfgs = Seq[AlgoConfig](Algos.EBBkC, Algos.EBBkC.copy(rule2 = false), Algos.BitCol, Algos.BitColPlus,
+      EbbkcAlgo(ColorOrdering), Algos.EBBkCC_ET)
+    for (k <- 3 to 6; cfg <- cfgs)
       assert(KClique.count(g, k, cfg) == Combinatorics.binomial(70, k), s"k=$k ${cfg.name}")
   }
 
@@ -285,7 +291,8 @@ class KernelEdgeCaseTest extends AnyFunSuite {
   test("mixed-width fixture: EBBkC-H counts at k = 5..8 equal EBBkC-T's and BitCol's") {
     val g = mixedWidth
     val cfgs = Seq[AlgoConfig](Algos.EBBkC, Algos.EBBkC.copy(rule2 = false), Algos.EBBkCET) ++
-      (1 to 3).map(t => Algos.EBBkC.copy(et = EtFixed(t)))
+      (1 to 3).map(t => Algos.EBBkC.copy(et = EtFixed(t))) ++
+      Seq(EbbkcAlgo(ColorOrdering), Algos.EBBkCC_ET, Algos.EBBkCT_ET)
     for (k <- 5 to 8) {
       val want = KClique.count(g, k, EbbkcAlgo(TrussOrdering))
       assert(want > 0 && KClique.count(g, k, Algos.BitCol) == want, s"k=$k BitCol")
@@ -313,6 +320,14 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     assert(et.result == bc.result)
     assert(et.seconds < 10, f"EBBkC+ET took ${et.seconds}%.1f s")
     assert(bc.seconds < 3, f"BitCol took ${bc.seconds}%.1f s")
+  }
+
+  test("EBBkC-C+ET count of the WK stand-in at k=8 under 10 s") {
+    // Guards EBBkC-C's branch-graph-local bitset rows: branching on sorted
+    // int arrays over one global color DAG took about 24 s here.
+    val t = repro.util.Timer.time(KClique.count(SynthGraphs("WK"), 8, Algos.EBBkCC_ET))
+    assert(t.result == 98568307L)
+    assert(t.seconds < 10, f"EBBkC-C+ET took ${t.seconds}%.1f s")
   }
 
   test("EBBkC+ET count of the WK stand-in at k=8 allocates under 600 MB") {
