@@ -70,6 +70,8 @@ final case class VbbkcAlgo(
     et: EtMode = EtOff,
     edgeParallel: Boolean = false
 ) extends AlgoConfig {
+  require(et == EtOff || bitset, "early termination runs on bitset rows only")
+  require(!rule2 || sub == SubColor, "Rule (2) needs the color sub-ordering")
   def name: String = {
     val base = (sub, bitset) match {
       case (SubNatural, false) => "Degen"

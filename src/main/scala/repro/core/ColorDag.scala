@@ -9,20 +9,17 @@ import repro.order.Coloring
   * the structure the array VBBkC baselines build per subproblem; [[BitDag]]
   * is the same DAG with bitset rows.
   *
-  * Besides the rows, the DAG owns the leaf work of every recursion over it:
-  * the ET probe, which hands bitset rows to [[PlexListers]], and the l = 1 /
-  * l = 2 base cases. Each writes the clique's last vertices into `stack` from
-  * `sp` on, mapped through `toOuter`.
+  * Besides the rows, the DAG owns the l = 1 / l = 2 base cases of every
+  * recursion over it. Each writes the clique's last vertices into `stack`
+  * from `sp` on, mapped through `toOuter`.
   *
   * @param out      out-neighbors (larger positions), sorted ascending
-  * @param und      all neighbors as positions, sorted ascending
   * @param colors   color of each position, or null for orders without colors
   * @param toOuter  position -> caller's vertex id (for emission)
   */
 final class ColorDag(
     val s: Int,
     val out: Array[Array[Int]],
-    val und: Array[Array[Int]],
     val colors: Array[Int],
     val toOuter: Array[Int]
 ) {
@@ -44,53 +41,6 @@ final class ColorDag(
       i += 1
     }
     seen >= need
-  }
-
-  /** Early termination (Section 5) of the branch on the positions `c` with
-    * `l` vertices left to pick: true iff the branch graph is a t-plex, in
-    * which case its l-cliques went to `sink`. `t` = 0 turns it off. The
-    * plex test runs on local rows over `c`'s indices.
-    */
-  def tryEarlyTerminate(
-      c: Array[Int], l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean =
-    if (t <= 0 || l < 3) false
-    else {
-      val rows = buildRowsIfPlex(c, t)
-      if (rows == null) false
-      else {
-        val all = new Array[Long]((c.length + 63) >>> 6)
-        BitDag.fillAll(all, c.length)
-        val verts = new Array[Int](c.length)
-        var i = 0
-        while (i < c.length) { verts(i) = toOuter(c(i)); i += 1 }
-        PlexListers.tryEarlyTerminate(stack, sp, all, c.length, rows, verts, l, t, sink)
-      }
-    }
-
-  /** The induced bitset adjacency of `c` over local indices, or null as soon
-    * as some member's induced degree drops below `c.length - t`: the branch
-    * graph provably is not a t-plex, and most branches stop at the first
-    * member, before a full matrix is built.
-    */
-  private def buildRowsIfPlex(c: Array[Int], t: Int): Array[Array[Long]] = {
-    val nv = c.length
-    val rows = Array.ofDim[Long](nv, (nv + 63) >>> 6)
-    var i = 0
-    while (i < nv) {
-      val nb = und(c(i))
-      val row = rows(i)
-      var d = 0
-      var a = 0; var b = 0
-      while (a < nb.length && b < nv) {
-        val x = nb(a); val y = c(b)
-        if (x == y) { row(b >>> 6) |= 1L << (b & 63); d += 1; a += 1; b += 1 }
-        else if (x < y) a += 1
-        else b += 1
-      }
-      if (d < nv - t) return null
-      i += 1
-    }
-    rows
   }
 
   /** The l = 1 base case: every position of `c` completes a clique. */
@@ -176,8 +126,10 @@ final class BitDag(
     seen >= need
   }
 
-  /** [[ColorDag#tryEarlyTerminate]] for the bitset `c` of `cnt` positions,
-    * tested on `undRows` as they are.
+  /** Early termination (Section 5) of the branch on the bitset `c` of `cnt`
+    * positions with `l` vertices left to pick: true iff the branch graph is
+    * a t-plex, in which case its l-cliques went to `sink`. `t` = 0 turns it
+    * off. The plex test runs on `undRows` as they are.
     */
   def tryEarlyTerminate(
       c: Array[Long], cnt: Int, l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean =
@@ -311,7 +263,6 @@ object ColorDag {
     val s = adjL.length
     val posOf = positionsOf(order)
     val out = new Array[Array[Int]](s)
-    val und = new Array[Array[Int]](s)
     val posColors = if (colors == null) null else new Array[Int](s)
     val posOuter = new Array[Int](s)
     var p = 0
@@ -322,7 +273,6 @@ object ColorDag {
       var j = 0
       while (j < nb.length) { undP(j) = posOf(nb(j)); j += 1 }
       java.util.Arrays.sort(undP)
-      und(p) = undP
       var lo = 0
       while (lo < undP.length && undP(lo) <= p) lo += 1
       out(p) = java.util.Arrays.copyOfRange(undP, lo, undP.length)
@@ -330,7 +280,7 @@ object ColorDag {
       posOuter(p) = toOuter(v)
       p += 1
     }
-    new ColorDag(s, out, und, posColors, posOuter)
+    new ColorDag(s, out, posColors, posOuter)
   }
 
   /** Bitset rows, written straight from the adjacency lists; `colors` may be

@@ -35,7 +35,8 @@ object VbbkcPrep {
 
 /** VBBkC kernel covering Degen, DDegree, DDegCol and their bitset twins
   * SDegree / BitCol (the JVM stand-ins for the SIMD implementations), plus
-  * the adapted Rule (2) ("+" variants) and early termination.
+  * the adapted Rule (2) ("+" variants, color sub-ordering only) and early
+  * termination (bitset rows only).
   *
   * Per subproblem it materializes the induced subgraph on the top vertex's
   * out-neighborhood (at most delta vertices), reorders it by the configured
@@ -47,8 +48,8 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
   private val cfg = prep.cfg
   private val etT = prep.etT
   private val useColor = cfg.sub == SubColor
-  // Rule (2) applies only under the color sub-ordering.
-  private val colorRule2 = cfg.rule2 && useColor
+  // VbbkcAlgo allows Rule (2) only under the color sub-ordering.
+  private val colorRule2 = cfg.rule2
 
   private val stack = new Array[Int](k)
   private val sub = new SubgraphBuilder(g)
@@ -121,7 +122,6 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
 
   private def recArr(dag: ColorDag, c: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
     if (c.length < l) return
-    if (dag.tryEarlyTerminate(c, l, etT, stack, sp, sink)) return
     if (l == 1) { dag.emitSingles(c, stack, sp, sink); return }
     if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
     // A counting branch at l = 3 sums its children's pairs in place.

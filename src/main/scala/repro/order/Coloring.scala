@@ -7,43 +7,16 @@ import repro.graph.LocalGraph
   */
 object Coloring {
 
-  /** Greedy colors (1-based) assigning each vertex, in the given order, the
-    * smallest color absent from its already-colored neighbors.
-    *
-    * With `order` = reverse degeneracy order this uses at most delta + 1
-    * colors (the "inverse degeneracy" coloring of Hasenplaugh et al. used by
-    * the VBBkC baselines).
+  /** Inverse-degeneracy greedy coloring of the whole graph: [[greedyLocal]]
+    * in reverse degeneracy order, which uses at most delta + 1 colors (the
+    * coloring of Hasenplaugh et al. used by the VBBkC baselines).
     */
-  def greedy(g: LocalGraph, order: Array[Int]): Array[Int] = {
-    val n = g.n
-    val colors = new Array[Int](n) // 0 = uncolored
-    val used = new Array[Int](n + 2) // stamp array: used(c) == stamp means taken
-    var stamp = 0
-    var i = 0
-    while (i < order.length) {
-      val v = order(i)
-      stamp += 1
-      var p = g.offsets(v)
-      val end = g.offsets(v + 1)
-      while (p < end) {
-        val c = colors(g.adj(p))
-        if (c > 0) used(c) = stamp
-        p += 1
-      }
-      var c = 1
-      while (used(c) == stamp) c += 1
-      colors(v) = c
-      i += 1
-    }
-    colors
-  }
-
-  /** Inverse-degeneracy greedy coloring of the whole graph. */
   def inverseDegeneracy(g: LocalGraph): Array[Int] =
-    greedy(g, CoreDecomposition.run(g).order.reverse)
+    greedyLocal(Array.tabulate(g.n)(g.neighborsOf), CoreDecomposition.run(g).order.reverse)
 
-  /** Greedy coloring of a *local* subgraph given as adjacency lists over
-    * dense ids `0 until s`, processing vertices in `order`.
+  /** Greedy colors (1-based) of a graph given as adjacency lists over dense
+    * ids `0 until s`: each vertex, in `order`, gets the smallest color absent
+    * from its already-colored neighbors.
     */
   def greedyLocal(adjLists: Array[Array[Int]], order: Array[Int]): Array[Int] = {
     val s = adjLists.length

@@ -42,7 +42,7 @@ object KernelFixtures {
     Algos.DDegCol.copy(edgeParallel = true),
     Algos.BitCol.copy(edgeParallel = true),
     VbbkcAlgo(SubColor, bitset = true, rule2 = true, et = EtFixed(3)),
-    VbbkcAlgo(SubDegree, et = EtFixed(2)),
+    VbbkcAlgo(SubDegree, bitset = true, et = EtFixed(2)),
     EbbkcAlgo(TrussOrdering),
     EbbkcAlgo(TrussOrdering, et = EtFixed(2)),
     EbbkcAlgo(TrussOrdering, et = EtFixed(4)),
@@ -184,6 +184,11 @@ class KernelEdgeCaseTest extends AnyFunSuite {
   test("algorithm names in the correctness sweep are unique") {
     val names = KernelFixtures.algos.map(_.name)
     assert(names.distinct == names, names.diff(names.distinct))
+  }
+
+  test("VBBkC runs ET only on bitset rows and Rule (2) only under the color sub-ordering") {
+    intercept[IllegalArgumentException](VbbkcAlgo(SubDegree, et = EtFixed(2)))
+    intercept[IllegalArgumentException](VbbkcAlgo(SubDegree, rule2 = true))
   }
 
   test("counts past Long.MaxValue throw instead of wrapping (K70, k=35)") {

@@ -189,7 +189,12 @@ class ColoringTest extends AnyFunSuite {
     val order = Array.tabulate(g.n)(identity)
     val colors = Coloring.greedyLocal(adjL, order)
     assertProper(g, colors)
-    assert(colors.sameElements(Coloring.greedy(g, order)))
+    // First fit read off the global graph: each vertex takes the smallest
+    // color that none of its smaller neighbors has.
+    for (v <- 0 until g.n) {
+      val taken = (0 until v).filter(g.hasEdge(_, v)).map(colors).toSet
+      assert(colors(v) == Iterator.from(1).find(!taken(_)).get, s"vertex $v")
+    }
   }
 }
 
