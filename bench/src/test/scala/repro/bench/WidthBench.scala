@@ -1,0 +1,27 @@
+package repro.bench
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core._
+import repro.util.Timer
+
+/** Times the multi-word bitset recursions, which no stand-in reaches: every
+  * WK and PO branch graph has at most tau = 54 vertices, one word. On the
+  * mixed-width fixture (a complete tripartite core, tau >= 65) the first
+  * EBBkC branch graphs and the BitCol subproblems span two words and the
+  * rest one. Each cell is the median of 7 serial counts after 3 warm-ups;
+  * the counts must agree per k.
+  */
+class WidthBench extends AnyFunSuite {
+
+  private val algos: Seq[AlgoConfig] = Seq(Algos.EBBkCET, Algos.EBBkCT_ET, Algos.EBBkCC_ET, Algos.BitCol)
+
+  test("multi-word paths: mixed-width fixture, k = 5..8") {
+    val g = KernelFixtures.mixedWidth
+    val cells = for (k <- 5 to 8; cfg <- algos) yield {
+      val t = Timer.median(reps = 7, warmup = 3)(KClique.count(g, k, cfg))
+      BenchTables.Cell(cfg.name, k, t.result, t.seconds)
+    }
+    for (k <- 5 to 8) assert(cells.filter(_.k == k).map(_.count).distinct.size == 1, s"count disagreement at k=$k")
+    println(BenchTables.render(s"mixed-width (n=${g.n}, m=${g.m})", cells, algos))
+  }
+}

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.graph.SubgraphBuilder
 import repro.order.Coloring
 
 /** A DAG over a (sub)graph, relabeled into *position space*: vertex p is the
@@ -80,21 +81,56 @@ final class ColorDag(
 }
 
 /** [[ColorDag]] with `Long` bitset rows of `words` words each: the candidate
-  * representation of EBBkC-H's branch graphs (at most tau vertices), of
-  * EBBkC-C's edge subproblems and of the SDegree/BitCol baselines.
-  * Candidate sets are bitsets over positions whose first `words` words are
-  * read. For a DAG of at most 64 positions, `pairsIn` and `hasColors` (the
-  * helpers on the counting path of the one-word recursion) also take the
-  * set as one `Long`.
+  * representation of every bitset recursion (EBBkC-H's branch graphs of at
+  * most tau vertices, EBBkC-C's edge subproblems and the SDegree/BitCol
+  * baselines). Rows are flat: row p of `out` or `und` is the `words` words
+  * from `p * words` on. Candidate sets are bitsets over positions whose
+  * first `words` words are read. For a DAG of at most 64 positions,
+  * `pairsIn` and `hasColors` (the helpers on the counting path of the
+  * one-word recursion) also take the set as one `Long`.
+  *
+  * One instance per kernel, rebuilt in place for each subproblem: [[load]]
+  * reads a [[SubgraphBuilder]]'s edge list into rows over its local ids, a
+  * word-row order of [[ColorDag]] fills `order` (and `localColors`), and
+  * [[ColorDag.buildBits]] relabels the rows into position space. Arrays
+  * only grow, so a rebuild allocates nothing once the largest subproblem
+  * has been seen.
   */
-final class BitDag(
-    val s: Int,
-    val words: Int,
-    val outRows: Array[Array[Long]],
-    val undRows: Array[Array[Long]],
-    val colors: Array[Int],
-    val toOuter: Array[Int]
-) {
+final class BitDag {
+  var s = 0
+  var words = 0
+  /** Out-neighbors (larger positions) and all neighbors of each position. */
+  var out, und = Array.emptyLongArray
+  /** Color of each position; 0 when built without colors. */
+  var colors = Array.emptyIntArray
+  /** Position -> caller's vertex id. */
+  var toOuter = Array.emptyIntArray
+  // Build scratch over the loaded graph's local ids: its rows (stride
+  // `words`), a vertex order (position -> local id), the local colors (or
+  // degrees, while an order is computed) and the greedy color classes
+  // (stride `words`); positions and packed sort keys.
+  var rows = Array.emptyLongArray
+  var order, localColors = Array.emptyIntArray
+  private[core] var classes = Array.emptyLongArray
+  private[core] var posOf = Array.emptyIntArray
+  private[core] var packed = Array.emptyLongArray
+
+  /** Sizes the DAG for the `n` vertices of `sub`'s last build and loads
+    * their adjacency into `rows`.
+    */
+  def load(sub: SubgraphBuilder, n: Int): Unit = {
+    s = n
+    words = (n + 63) >>> 6
+    if (rows.length < n * words) {
+      rows = new Array[Long](n * words); out = new Array[Long](n * words)
+      und = new Array[Long](n * words); classes = new Array[Long](n * words)
+    }
+    if (order.length < n) {
+      order = new Array[Int](n); localColors = new Array[Int](n); colors = new Array[Int](n)
+      toOuter = new Array[Int](n); posOf = new Array[Int](n); packed = new Array[Long](n)
+    }
+    sub.wordRows(rows, words, n)
+  }
 
   /** [[ColorDag#hasColors]] for the bitset `c`. */
   def hasColors(c: Array[Long], need: Int): Boolean = {
@@ -129,11 +165,11 @@ final class BitDag(
   /** Early termination (Section 5) of the branch on the bitset `c` of `cnt`
     * positions with `l` vertices left to pick: true iff the branch graph is
     * a t-plex, in which case its l-cliques went to `sink`. `t` = 0 turns it
-    * off. The plex test runs on `undRows` as they are.
+    * off. The plex test runs on `und` as it is.
     */
   def tryEarlyTerminate(
       c: Array[Long], cnt: Int, l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean =
-    t > 0 && l >= 3 && PlexListers.tryEarlyTerminate(stack, sp, c, cnt, undRows, toOuter, l, t, sink)
+    t > 0 && l >= 3 && PlexListers.tryEarlyTerminate(stack, sp, c, cnt, und, words, toOuter, l, t, sink)
 
   /** [[ColorDag#emitSingles]] for the bitset `c` of `cnt` positions. */
   def emitSingles(c: Array[Long], cnt: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Unit =
@@ -149,22 +185,24 @@ final class BitDag(
     while (w < words) {
       var bits = c(w)
       while (bits != 0) {
-        val row = outRows((w << 6) + java.lang.Long.numberOfTrailingZeros(bits))
+        val row = ((w << 6) + java.lang.Long.numberOfTrailingZeros(bits)) * words
         bits &= bits - 1
         var ww = w
-        while (ww < words) { total += java.lang.Long.bitCount(c(ww) & row(ww)); ww += 1 }
+        while (ww < words) { total += java.lang.Long.bitCount(c(ww) & out(row + ww)); ww += 1 }
       }
       w += 1
     }
     total
   }
 
-  /** [[pairsIn]] for the one-word set `c`: one popcount per member. */
+  /** [[pairsIn]] for the one-word set `c` of a one-word DAG: one popcount
+    * per member.
+    */
   def pairsIn(c: Long): Long = {
     var total = 0L
     var bits = c
     while (bits != 0) {
-      total += java.lang.Long.bitCount(c & outRows(java.lang.Long.numberOfTrailingZeros(bits))(0))
+      total += java.lang.Long.bitCount(c & out(java.lang.Long.numberOfTrailingZeros(bits)))
       bits &= bits - 1
     }
     total
@@ -181,7 +219,7 @@ final class BitDag(
         bits &= bits - 1
         var ww = w
         while (ww < words) {
-          var bits2 = c(ww) & outRows(u)(ww)
+          var bits2 = c(ww) & out(u * words + ww)
           while (bits2 != 0) {
             val v = (ww << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
             bits2 &= bits2 - 1
@@ -223,9 +261,12 @@ object BitDag {
   }
 }
 
-/** The one builder of position-space DAGs. Inputs are adjacency lists over
-  * dense ids `0 until s` (rows in any order), a vertex order (position ->
-  * dense id), and `colors`/`toOuter` indexed by dense id.
+/** The one builder of position-space DAGs, in two forms. The int-row form
+  * (the int-array baselines) takes adjacency lists over dense ids
+  * `0 until s` (rows in any order), a vertex order (position -> dense id),
+  * and `colors`/`toOuter` indexed by dense id. The word-row form reads the
+  * rows a [[BitDag]] loaded and writes into that DAG's scratch; its orders
+  * and colors equal the int-row form's on the same graph.
   */
 object ColorDag {
 
@@ -283,33 +324,97 @@ object ColorDag {
     new ColorDag(s, out, posColors, posOuter)
   }
 
-  /** Bitset rows, written straight from the adjacency lists; `colors` may be
-    * null.
+  /** The identity order of the graph `dag` loaded, in `dag.order`. */
+  def identityOrder(dag: BitDag): Array[Int] = {
+    var i = 0
+    while (i < dag.s) { dag.order(i) = i; i += 1 }
+    dag.order
+  }
+
+  /** [[degreeOrder]] of the graph `dag` loaded, in `dag.order`: each degree
+    * is a row's popcount, kept in `dag.localColors`.
     */
-  def buildBits(
-      adjL: Array[Array[Int]], order: Array[Int], colors: Array[Int], toOuter: Array[Int]): BitDag = {
-    val s = adjL.length
-    val posOf = positionsOf(order)
-    val words = (s + 63) >>> 6
-    val outRows = Array.ofDim[Long](s, words)
-    val undRows = Array.ofDim[Long](s, words)
-    val posColors = if (colors == null) null else new Array[Int](s)
-    val posOuter = new Array[Int](s)
+  def degreeOrder(dag: BitDag): Array[Int] = {
+    val words = dag.words
+    val rows = dag.rows
+    val deg = dag.localColors
+    var x = 0
+    while (x < dag.s) {
+      var d = 0
+      var w = x * words
+      while (w < (x + 1) * words) { d += java.lang.Long.bitCount(rows(w)); w += 1 }
+      deg(x) = d
+      x += 1
+    }
+    IntArrays.orderByKeyDesc(deg, dag.s, dag.packed, dag.order)
+  }
+
+  /** [[colorOrder]] of the graph `dag` loaded: the order in `dag.order`,
+    * the colors in `dag.localColors`. Each vertex, in degree order, joins
+    * the first color class that holds none of its neighbors: the smallest
+    * color absent from them, as in [[Coloring.greedyLocal]].
+    */
+  def colorOrder(dag: BitDag): Array[Int] = {
+    val s = dag.s
+    val words = dag.words
+    val rows = dag.rows
+    val classes = dag.classes
+    val colors = dag.localColors
+    val byDegree = degreeOrder(dag)
+    var numColors = 0
+    var i = 0
+    while (i < s) {
+      val x = byDegree(i)
+      var c = 0
+      while (c < numColors && intersects(classes, c * words, rows, x * words, words)) c += 1
+      if (c == numColors) { java.util.Arrays.fill(classes, c * words, (c + 1) * words, 0L); numColors += 1 }
+      classes(c * words + (x >>> 6)) |= 1L << (x & 63)
+      colors(x) = c + 1
+      i += 1
+    }
+    IntArrays.orderByKeyDesc(colors, s, dag.packed, dag.order)
+  }
+
+  /** Whether the `words` words of `a` from `i` and of `b` from `j` share a bit. */
+  private def intersects(a: Array[Long], i: Int, b: Array[Long], j: Int, words: Int): Boolean = {
+    var w = 0
+    while (w < words && (a(i + w) & b(j + w)) == 0) w += 1
+    w < words
+  }
+
+  /** Relabels the rows `dag` loaded into position space by walking their
+    * set bits. `order` (position -> local id) and `colors` (may be null)
+    * are over local ids; position p's caller id is `verts(order(p))`,
+    * mapped through `outer` when that is non-null.
+    */
+  def buildBits(dag: BitDag, order: Array[Int], colors: Array[Int], verts: Array[Int], outer: Array[Int]): Unit = {
+    val s = dag.s
+    val words = dag.words
+    val rows = dag.rows
+    val out = dag.out
+    val und = dag.und
+    val posOf = dag.posOf
     var p = 0
+    while (p < s) { posOf(order(p)) = p; p += 1 }
+    java.util.Arrays.fill(out, 0, s * words, 0L)
+    java.util.Arrays.fill(und, 0, s * words, 0L)
+    p = 0
     while (p < s) {
-      val v = order(p)
-      val nb = adjL(v)
-      var j = 0
-      while (j < nb.length) {
-        val q = posOf(nb(j))
-        undRows(p)(q >>> 6) |= 1L << (q & 63)
-        if (q > p) outRows(p)(q >>> 6) |= 1L << (q & 63)
-        j += 1
+      val x = order(p)
+      var w = 0
+      while (w < words) {
+        var bits = rows(x * words + w)
+        while (bits != 0) {
+          val q = posOf((w << 6) + java.lang.Long.numberOfTrailingZeros(bits))
+          bits &= bits - 1
+          und(p * words + (q >>> 6)) |= 1L << (q & 63)
+          if (q > p) out(p * words + (q >>> 6)) |= 1L << (q & 63)
+        }
+        w += 1
       }
-      if (colors != null) posColors(p) = colors(v)
-      posOuter(p) = toOuter(v)
+      dag.colors(p) = if (colors == null) 0 else colors(x)
+      dag.toOuter(p) = if (outer == null) verts(x) else outer(verts(x))
       p += 1
     }
-    new BitDag(s, words, outRows, undRows, posColors, posOuter)
   }
 }

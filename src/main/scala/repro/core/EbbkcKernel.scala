@@ -75,18 +75,23 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   private val stack = new Array[Int](k)
   private val sub = new SubgraphBuilder(g)
   private val hitIdx, hitPos = new Array[Int](g.maxDegree) // VSet(e) lookups
+  // The subproblem's vertices, ascending: VSet(e) (truss paths) or the
+  // edge's common out-neighbors (EBBkC-C). Builder local id i is verts(i).
+  private val verts = new Array[Int](g.maxDegree)
+  // The color-ordered DAG of the current EBBkC-H branch graph or EBBkC-C
+  // edge subproblem, rebuilt in place.
+  private val dag = new BitDag
   // A truss-level branch graph at EBBkC-T branching depth d (stack depth
-  // 2d + 2): its member set tV(d), adjacency rows tRows(d) over the
-  // builder's local ids, and edges tEnds(d) (local endpoints of edge i at 2i
-  // and 2i + 1, in pi_tau order). EBBkC-H's truss-level ET probe reads depth
-  // 0. Rows have the current graph's word count; they are reallocated only
-  // when that changes or a graph has more vertices (edges, for tEnds) than
-  // they hold.
+  // 2d + 2): its member set tV(d), flat adjacency rows tRows(d) of tWords
+  // words over the builder's local ids, and edges tEnds(d) (local endpoints
+  // of edge i at 2i and 2i + 1, in pi_tau order), sorted by rank in
+  // rankKeys. Arrays grow only when a graph needs more than they hold.
   private val depths = k / 2
   private var tWords = 0
-  private val tV = new Array[Array[Long]](depths)
-  private val tRows = Array.fill(depths)(new Array[Array[Long]](0))
+  private val tV = Array.fill(depths)(Array.emptyLongArray)
+  private val tRows = Array.fill(depths)(Array.emptyLongArray)
   private val tEnds = Array.fill(depths)(Array.emptyIntArray)
+  private var rankKeys = Array.emptyLongArray
   // EBBkC-H/C candidate rows, one pair per edge-branching depth: the branch
   // at stack depth sp builds c_u in cuRows(sp / 2) and c_uv in c2Rows(sp / 2);
   // c2Rows(0) holds a DAG's full vertex set. Rows grow only when a DAG needs
@@ -120,62 +125,53 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     // edges. The probe gallops over both lists, so it costs about the
     // smaller endpoint's degree, never the larger's.
     val h = g.probe(u, g.adj, g.offsets(v), g.offsets(v + 1), hitIdx, hitPos)
-    val vset = new Array[Int](h)
     var nv = 0; var t = 0
     while (t < h) {
-      if (rank(g.adjEdgeIds(hitIdx(t))) > r && rank(g.adjEdgeIds(hitPos(t))) > r) { vset(nv) = g.adj(hitPos(t)); nv += 1 }
+      if (rank(g.adjEdgeIds(hitIdx(t))) > r && rank(g.adjEdgeIds(hitPos(t))) > r) { verts(nv) = g.adj(hitPos(t)); nv += 1 }
       t += 1
     }
     if (nv < l0) return
     stack(0) = u; stack(1) = v
     if (l0 == 1) { // k = 3: each member of VSet(e) completes a triangle
       if (!sink.wantsCliques) sink.onCount(nv)
-      else for (i <- 0 until nv) { stack(2) = vset(i); sink.onClique(stack, 3) }
+      else for (i <- 0 until nv) { stack(2) = verts(i); sink.onClique(stack, 3) }
       return
     }
-    val verts = if (nv == h) vset else java.util.Arrays.copyOf(vset, nv)
 
     // The branch graph: VSet(e) with its edges ranked after e, ESet(e), in
     // the builder's local ids. Only EBBkC-T branches on ESet(e), in rank
     // order; EBBkC-H colors the rows.
-    val adjL = sub.build(verts, rank, r)
-    if (cfg.ordering == HybridOrdering) runHybridBranch(verts, adjL, l0, sink)
+    sub.build(verts, nv, rank, r)
+    if (cfg.ordering == HybridOrdering) runHybridBranch(nv, l0, sink)
     else {
-      loadRows(adjL)
-      recT(verts, 0, nv, loadEdgesByRank(), l0, sink)
+      loadRows(nv)
+      recT(0, nv, loadEdgesByRank(), l0, sink)
     }
   }
 
-  /** Loads the truss-level branch graph `adjL` into depth 0: its full member
-    * set tV(0) and its adjacency rows tRows(0).
+  /** Loads the last build's `s` vertices into depth 0: their full member
+    * set tV(0) and their adjacency rows tRows(0).
     */
-  private def loadRows(adjL: Array[Array[Int]]): Unit = {
-    val s = adjL.length
+  private def loadRows(s: Int): Unit = {
     val words = (s + 63) >>> 6
-    if (words != tWords || tRows(0).length < s) {
-      for (d <- 0 until depths) { tRows(d) = Array.ofDim[Long](s, words); tV(d) = new Array[Long](words) }
-      tWords = words
-    }
-    val rows = tRows(0)
-    var x = 0
-    while (x < s) {
-      val row = rows(x); val nb = adjL(x)
-      java.util.Arrays.fill(row, 0L)
-      var j = 0
-      while (j < nb.length) { row(nb(j) >>> 6) |= 1L << (nb(j) & 63); j += 1 }
-      x += 1
-    }
+    if (tRows(0).length < s * words) for (d <- 0 until depths) tRows(d) = new Array[Long](s * words)
+    if (tV(0).length < words) for (d <- 0 until depths) tV(d) = new Array[Long](words)
+    tWords = words
+    sub.wordRows(tRows(0), words, s)
     BitDag.fillAll(tV(0), s)
   }
 
   /** Loads the last build's edges into tEnds(0), in pi_tau order; returns their number. */
   private def loadEdgesByRank(): Int = {
     val ne = sub.numEdges
-    if (tEnds(0).length < 2 * ne) for (d <- 0 until depths) tEnds(d) = new Array[Int](2 * ne)
-    val packed = new Array[Long](ne)
+    if (rankKeys.length < ne) {
+      for (d <- 0 until depths) tEnds(d) = new Array[Int](2 * ne)
+      rankKeys = new Array[Long](ne)
+    }
+    val packed = rankKeys
     var i = 0
     while (i < ne) { packed(i) = (rank(sub.edgeIds(i)).toLong << 32) | i; i += 1 }
-    java.util.Arrays.sort(packed)
+    java.util.Arrays.sort(packed, 0, ne)
     val ends = tEnds(0)
     i = 0
     while (i < ne) {
@@ -194,7 +190,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   /** The l = 2 base case of a truss-level branch graph: each of its `ne` edges,
     * local endpoints at `ends(2i)` and `ends(2i + 1)`, completes a clique.
     */
-  private def emitEdges(ends: Array[Int], ne: Int, verts: Array[Int], sp: Int, sink: CliqueSink): Unit =
+  private def emitEdges(ends: Array[Int], ne: Int, sp: Int, sink: CliqueSink): Unit =
     if (!sink.wantsCliques) sink.onCount(ne)
     else {
       var i = 0
@@ -209,20 +205,22 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
 
   /** Algorithm 3's recursion on the branch graph at depth d: the `cnt`
     * members of tV(d), their rows tRows(d) and the `ne` edges of tEnds(d).
+    * Rows are flat, row x at `x * tWords`.
     * Branching on edge i first clears it from the rows, which then hold
     * exactly the edges after i: V(g') = rows(a) & rows(b), each member x of
     * V(g') keeps rows(x) & V(g'), and E(g') is the later edges inside V(g').
     * A counting branch at l <= 4 adds its children's |V(g')| (l = 3) or
     * |E(g')| (l = 4) in place.
     */
-  private def recT(verts: Array[Int], d: Int, cnt: Int, ne: Int, l: Int, sink: CliqueSink): Unit = {
+  private def recT(d: Int, cnt: Int, ne: Int, l: Int, sink: CliqueSink): Unit = {
     val sp = 2 * d + 2
     val c = tV(d); val rows = tRows(d); val ends = tEnds(d)
-    if (l >= 3 && mayBePlex(cnt, ne) && PlexListers.tryEarlyTerminate(stack, sp, c, cnt, rows, verts, l, etT, sink))
-      return
     val words = tWords
+    if (l >= 3 && mayBePlex(cnt, ne) &&
+        PlexListers.tryEarlyTerminate(stack, sp, c, cnt, rows, words, verts, l, etT, sink))
+      return
     if (l == 1) { BitDag.emitSingles(c, cnt, words, verts, stack, sp, sink); return }
-    if (l == 2) { emitEdges(ends, ne, verts, sp, sink); return }
+    if (l == 2) { emitEdges(ends, ne, sp, sink); return }
     val leaves = l <= 4 && !sink.wantsCliques
     // Each child g': its member set V(g'), rows and edges.
     val cc = tV(d + 1); val cRows = tRows(d + 1); val cEnds = tEnds(d + 1)
@@ -230,11 +228,11 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     var i = 0
     while (i < ne) {
       val a = ends(2 * i); val b = ends(2 * i + 1)
-      val ra = rows(a); val rb = rows(b)
-      ra(b >>> 6) &= ~(1L << (b & 63)); rb(a >>> 6) &= ~(1L << (a & 63))
+      val ra = a * words; val rb = b * words
+      rows(ra + (b >>> 6)) &= ~(1L << (b & 63)); rows(rb + (a >>> 6)) &= ~(1L << (a & 63))
       var nn = 0
       var w = 0
-      while (w < words) { cc(w) = ra(w) & rb(w); nn += java.lang.Long.bitCount(cc(w)); w += 1 }
+      while (w < words) { cc(w) = rows(ra + w) & rows(rb + w); nn += java.lang.Long.bitCount(cc(w)); w += 1 }
       if (nn >= l - 2) {
         var ce = 0
         if (l >= 4) {
@@ -254,16 +252,16 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
             while (w < words) {
               var bits = cc(w)
               while (bits != 0) {
-                val x = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+                val rx = ((w << 6) + java.lang.Long.numberOfTrailingZeros(bits)) * words
                 bits &= bits - 1
                 var ww = 0
-                while (ww < words) { cRows(x)(ww) = rows(x)(ww) & cc(ww); ww += 1 }
+                while (ww < words) { cRows(rx + ww) = rows(rx + ww) & cc(ww); ww += 1 }
               }
               w += 1
             }
           }
           stack(sp) = verts(a); stack(sp + 1) = verts(b)
-          recT(verts, d + 1, nn, ce, l - 2, sink)
+          recT(d + 1, nn, ce, l - 2, sink)
         }
       }
       i += 1
@@ -273,27 +271,37 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
 
   // ------------------------------------------------------------ EBBkC-H body
 
-  /** Algorithm 5: color the truss-level branch graph and hand it to the
-    * color-DAG recursion. ET is probed first so dense branch graphs skip the
-    * coloring altogether.
+  /** Algorithm 5: color the truss-level branch graph of `s` vertices and
+    * hand it to the color-DAG recursion. ET is probed first, on the rows over
+    * the builder's local ids, so dense branch graphs skip the coloring
+    * altogether.
     */
-  private def runHybridBranch(verts: Array[Int], adjL: Array[Array[Int]], l0: Int, sink: CliqueSink): Unit = {
-    val s = verts.length
+  private def runHybridBranch(s: Int, l0: Int, sink: CliqueSink): Unit = {
     val ne = sub.numEdges
-    if (l0 >= 3 && mayBePlex(s, ne)) {
-      loadRows(adjL)
-      if (PlexListers.tryEarlyTerminate(stack, 2, tV(0), s, tRows(0), verts, l0, etT, sink)) return
-    }
-    if (l0 == 2) { emitEdges(sub.ends, ne, verts, 2, sink); return }
-    val (order, colors) = ColorDag.colorOrder(adjL)
-    branchOn(ColorDag.buildBits(adjL, order, colors, verts), l0, etHere = false, sink)
+    if (l0 == 2) { emitEdges(sub.ends, ne, 2, sink); return }
+    dag.load(sub, s)
+    if (mayBePlex(s, ne) &&
+        PlexListers.tryEarlyTerminate(stack, 2, fullSet(dag.words, s), s, dag.rows, dag.words, verts, l0, etT, sink))
+      return
+    ColorDag.buildBits(dag, ColorDag.colorOrder(dag), dag.localColors, verts, null)
+    branchOn(l0, etHere = false, sink)
   }
 
-  /** Branches on a color-ordered DAG with `l` vertices left to pick: its
+  /** The set `0 until s` of `words` words, in c2Rows(0); grows the
+    * candidate rows to `words` words first.
+    */
+  private def fullSet(words: Int, s: Int): Array[Long] = {
+    if (cuRows(0).length < words)
+      for (i <- cuRows.indices) { cuRows(i) = new Array[Long](words); c2Rows(i) = new Array[Long](words) }
+    BitDag.fillAll(c2Rows(0), s)
+    c2Rows(0)
+  }
+
+  /** Branches on the color-ordered `dag` with `l` vertices left to pick: its
     * candidate sets are one `Long` each when it has one word, word rows
     * otherwise. `etHere` probes ET on the full vertex set first.
     */
-  private def branchOn(dag: BitDag, l: Int, etHere: Boolean, sink: CliqueSink): Unit = {
+  private def branchOn(l: Int, etHere: Boolean, sink: CliqueSink): Unit = {
     val s = dag.s
     if (dag.words == 1) {
       // Colors descend with position, so each mask is a prefix.
@@ -304,31 +312,24 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
         colorMask(x) = if (p == 0) 0L else -1L >>> (64 - p)
         x -= 1
       }
-      recW(dag, -1L >>> (64 - s), s, l, 2, etHere, sink)
-      return
-    }
-    if (cuRows(0).length < dag.words)
-      for (i <- cuRows.indices) { cuRows(i) = new Array[Long](dag.words); c2Rows(i) = new Array[Long](dag.words) }
-    val full = c2Rows(0)
-    BitDag.fillAll(full, s)
-    recH(dag, full, s, l, 2, etHere, sink)
+      recW(-1L >>> (64 - s), s, l, 2, etHere, sink)
+    } else recH(fullSet(dag.words, s), s, l, 2, etHere, sink)
   }
 
-  /** Word-parallel edge branching over a [[BitDag]]. The candidate sets of
+  /** Word-parallel edge branching over `dag`. The candidate sets of
     * the branch at stack depth sp live in `cuRows(sp / 2)` and
     * `c2Rows(sp / 2)`, each at least `dag.words` long. A counting branch at
     * l <= 4 sums its children's leaf counts in place (|c_uv| at l = 3, the
     * pairs in c_uv at l = 4) and hands the sink their total.
     */
-  private def recH(
-      dag: BitDag, c: Array[Long], cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
+  private def recH(c: Array[Long], cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
     if (cnt < l) return
     if (etHere && dag.tryEarlyTerminate(c, cnt, l, etT, stack, sp, sink)) return
     if (l == 1) { dag.emitSingles(c, cnt, stack, sp, sink); return }
     if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
     val leaves = l <= 4 && !sink.wantsCliques
     val words = dag.words
-    val outRows = dag.outRows
+    val out = dag.out
     val colors = dag.colors
     val cu = cuRows(sp >>> 1)
     val c2 = c2Rows(sp >>> 1)
@@ -343,7 +344,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
         if (colors(u) < l) live = false // Rule (1a): colors descend with position
         else {
           var ww = 0
-          while (ww < words) { cu(ww) = c(ww) & outRows(u)(ww); ww += 1 }
+          while (ww < words) { cu(ww) = c(ww) & out(u * words + ww); ww += 1 }
           var w2 = 0
           var innerLive = true
           while (w2 < words && innerLive) {
@@ -356,7 +357,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
                 var cnt2 = 0
                 var w3 = 0
                 while (w3 < words) {
-                  c2(w3) = cu(w3) & outRows(v)(w3)
+                  c2(w3) = cu(w3) & out(v * words + w3)
                   cnt2 += java.lang.Long.bitCount(c2(w3))
                   w3 += 1
                 }
@@ -365,7 +366,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
                   else if (cnt2 >= 2) total += dag.pairsIn(c2)
                 } else if (cnt2 >= l - 2 && (!rule2 || l - 2 < 3 || dag.hasColors(c2, l - 2))) { // Rule (2)
                   stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
-                  recH(dag, c2, cnt2, l - 2, sp + 2, etHere = true, sink)
+                  recH(c2, cnt2, l - 2, sp + 2, etHere = true, sink)
                 }
               }
             }
@@ -383,32 +384,32 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     * members of color >= l are `c & colorMask(l)`. The ET probe and the
     * l <= 2 emitters take the set through the one-word row `word`.
     */
-  private def recW(dag: BitDag, c: Long, cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
+  private def recW(c: Long, cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
     if (cnt < l) return
     word(0) = c
     if (etHere && dag.tryEarlyTerminate(word, cnt, l, etT, stack, sp, sink)) return
     if (l == 1) { dag.emitSingles(word, cnt, stack, sp, sink); return }
     if (l == 2) { dag.emitPairs(word, stack, sp, sink); return }
     val leaves = l <= 4 && !sink.wantsCliques
-    val outRows = dag.outRows
+    val out = dag.out
     var total = 0L
     var bits = c & colorMask(l) // Rule (1a)
     while (bits != 0) {
       val u = java.lang.Long.numberOfTrailingZeros(bits)
       bits &= bits - 1
-      val cu = c & outRows(u)(0)
+      val cu = c & out(u)
       var bits2 = cu & colorMask(l - 1) // Rule (1b)
       while (bits2 != 0) {
         val v = java.lang.Long.numberOfTrailingZeros(bits2)
         bits2 &= bits2 - 1
-        val c2 = cu & outRows(v)(0)
+        val c2 = cu & out(v)
         val cnt2 = java.lang.Long.bitCount(c2)
         if (leaves) {
           if (l == 3) total += cnt2
           else if (cnt2 >= 2) total += dag.pairsIn(c2)
         } else if (cnt2 >= l - 2 && (!rule2 || l - 2 < 3 || dag.hasColors(c2, l - 2))) { // Rule (2)
           stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
-          recW(dag, c2, cnt2, l - 2, sp + 2, etHere = true, sink)
+          recW(c2, cnt2, l - 2, sp + 2, etHere = true, sink)
         }
       }
     }
@@ -431,12 +432,21 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     if (colors(u) < k || colors(v) < k - 1) return
     val h = g.probe(u, g.adj, g.outStart(v), g.offsets(v + 1), hitIdx, hitPos)
     if (h < l0) return
-    val verts = Array.tabulate(h)(i => g.adj(hitPos(i)))
-    val vColors = verts.map(colors(_))
     // Rule (2): colors descend along verts, so each new one is a change.
-    if (rule2 && l0 >= 3 && (1 until h).count(i => vColors(i) != vColors(i - 1)) + 1 < l0) return
-    val dag = ColorDag.buildBits(sub.build(verts, null, 0), Array.tabulate(h)(identity), vColors, verts.map(prep.toOuter(_)))
+    var numColors = 1
+    var i = 0
+    while (i < h) {
+      verts(i) = g.adj(hitPos(i))
+      if (i > 0 && colors(verts(i)) != colors(verts(i - 1))) numColors += 1
+      i += 1
+    }
+    if (rule2 && l0 >= 3 && numColors < l0) return
+    sub.build(verts, h, null, 0)
+    dag.load(sub, h)
+    i = 0
+    while (i < h) { dag.localColors(i) = colors(verts(i)); i += 1 }
+    ColorDag.buildBits(dag, ColorDag.identityOrder(dag), dag.localColors, verts, prep.toOuter)
     stack(0) = prep.toOuter(u); stack(1) = prep.toOuter(v)
-    branchOn(dag, l0, etHere = true, sink)
+    branchOn(l0, etHere = true, sink)
   }
 }

@@ -34,12 +34,16 @@ object IntArrays {
     * degree and color orders of the local subgraphs), sorted as packed
     * primitive keys.
     */
-  def orderByKeyDesc(key: Array[Int], n: Int): Array[Int] = {
-    val packed = new Array[Long](n)
+  def orderByKeyDesc(key: Array[Int], n: Int): Array[Int] =
+    orderByKeyDesc(key, n, new Array[Long](n), new Array[Int](n))
+
+  /** [[orderByKeyDesc]] into `out`, sorting in the scratch `packed`; both
+    * hold at least `n` entries. Returns `out`.
+    */
+  def orderByKeyDesc(key: Array[Int], n: Int, packed: Array[Long], out: Array[Int]): Array[Int] = {
     var i = 0
     while (i < n) { packed(i) = (-key(i).toLong << 32) | i; i += 1 }
-    java.util.Arrays.sort(packed)
-    val out = new Array[Int](n)
+    java.util.Arrays.sort(packed, 0, n)
     i = 0
     while (i < n) { out(i) = packed(i).toInt; i += 1 }
     out

@@ -15,9 +15,10 @@ import repro.core.Combinatorics.{binomial, forEachCombination}
   * In counting mode every enumeration collapses to closed-form binomials,
   * which is where EBBkC+ET's near-omega speedups come from.
   *
-  * The branch graph is the member bitset `c` over bitset adjacency `rows`:
-  * `rows(u)` bit v set iff u ~ v, for ids u, v of any graph containing g.
-  * Bits of a row outside `c` are ignored, and `outer` maps ids to the
+  * The branch graph is the member bitset `c` over flat bitset adjacency
+  * `rows` of `words` words per row: bit v of row u (the words from
+  * `u * words` on) is set iff u ~ v, for ids u, v of any graph containing
+  * g. Bits of a row outside `c` are ignored, and `outer` maps ids to the
   * caller's vertex ids for emission.
   */
 object PlexListers {
@@ -25,21 +26,22 @@ object PlexListers {
   /** Attempts early termination with threshold `t` of the branch on the
     * `cnt` members of `c`. Returns true iff the branch was fully handled
     * (i.e. g is a t-plex). `stack(0 until sp)` holds the partial clique S;
-    * capacity must be at least sp + l. `c` is read over the words of a row.
+    * capacity must be at least sp + l. `c` is read over `words` words.
     */
   def tryEarlyTerminate(
       stack: Array[Int],
       sp: Int,
       c: Array[Long],
       cnt: Int,
-      rows: Array[Array[Long]],
+      rows: Array[Long],
+      words: Int,
       outer: Array[Int],
       l: Int,
       t: Int,
       sink: CliqueSink
   ): Boolean = {
     if (t <= 0 || cnt < l || cnt == 0) return false
-    val pass = degreePass(c, cnt, rows, cnt - t, null, 0)
+    val pass = degreePass(c, cnt, rows, words, cnt - t, null, 0)
     if (pass < 0) return false
     val minDeg = (pass >>> 32).toInt
     val f = pass.toInt
@@ -49,15 +51,15 @@ object PlexListers {
       if (f + p >= l) sink.onCount(count2Plex(f, p, l))
     } else {
       val members = new Array[Int](cnt)
-      degreePass(c, cnt, rows, cnt - t, members, f)
-      if (minDeg >= cnt - 2) kC2Plex(stack, sp, members, f, cnt, rows, outer, l, sink)
-      else kCtPlex(stack, sp, members, f, cnt, rows, outer, l, sink)
+      degreePass(c, cnt, rows, words, cnt - t, members, f)
+      if (minDeg >= cnt - 2) kC2Plex(stack, sp, members, f, cnt, rows, words, outer, l, sink)
+      else kCtPlex(stack, sp, members, f, cnt, rows, words, outer, l, sink)
     }
     true
   }
 
   /** The plex test, one pass over the members of `c`: each one's induced
-    * degree is the popcount of `c & rows(u)`. Returns -1 at the first member
+    * degree is the popcount of `c` and row u. Returns -1 at the first member
     * below `minDeg`: branches overwhelmingly fail the test, most of them on
     * the first member scanned. Otherwise returns the smallest degree (high
     * 32 bits) and the number f of universal members (low 32 bits). Given f
@@ -66,8 +68,7 @@ object PlexListers {
     * `members(f until cnt)`.
     */
   private def degreePass(
-      c: Array[Long], cnt: Int, rows: Array[Array[Long]], minDeg: Int, members: Array[Int], f0: Int): Long = {
-    val words = rows(0).length
+      c: Array[Long], cnt: Int, rows: Array[Long], words: Int, minDeg: Int, members: Array[Int], f0: Int): Long = {
     var low = cnt
     var f = 0
     var others = f0
@@ -77,10 +78,10 @@ object PlexListers {
       while (bits != 0) {
         val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
         bits &= bits - 1
-        val r = rows(u)
+        val r = u * words
         var d = 0
         var ww = 0
-        while (ww < words) { d += java.lang.Long.bitCount(c(ww) & r(ww)); ww += 1 }
+        while (ww < words) { d += java.lang.Long.bitCount(c(ww) & rows(r + ww)); ww += 1 }
         if (d < minDeg) return -1L
         if (d < low) low = d
         if (d == cnt - 1) { if (members != null) members(f) = u; f += 1 }
@@ -91,8 +92,8 @@ object PlexListers {
     (low.toLong << 32) | f
   }
 
-  @inline private def bit(rows: Array[Array[Long]], i: Int, j: Int): Boolean =
-    (rows(i)(j >>> 6) & (1L << (j & 63))) != 0
+  @inline private def bit(rows: Array[Long], words: Int, i: Int, j: Int): Boolean =
+    (rows(i * words + (j >>> 6)) & (1L << (j & 63))) != 0
 
   /** Algorithm 6's closed form: l-cliques of a 2-plex with f universal
     * vertices and p non-adjacent pairs, sum C(f,c1) C(p,c2) C(p-c2,c3).
@@ -125,7 +126,7 @@ object PlexListers {
     */
   private def kC2Plex(
       stack: Array[Int], sp: Int, members: Array[Int], f: Int, cnt: Int,
-      rows: Array[Array[Long]], outer: Array[Int], l: Int, sink: CliqueSink
+      rows: Array[Long], words: Int, outer: Array[Int], l: Int, sink: CliqueSink
   ): Unit = {
     val p = (cnt - f) / 2
     if (f + p < l) return // line 2 of Algorithm 6: no l-clique fits
@@ -138,7 +139,7 @@ object PlexListers {
     while (i < cnt) {
       val u = members(i)
       var j = f
-      while (j < cnt && (members(j) == u || bit(rows, u, members(j)))) j += 1
+      while (j < cnt && (members(j) == u || bit(rows, words, u, members(j)))) j += 1
       require(j < cnt, "2-plex invariant violated")
       if (u < members(j)) { lBuf(np) = u; rBuf(np) = members(j); np += 1 }
       i += 1
@@ -178,7 +179,7 @@ object PlexListers {
     */
   private def kCtPlex(
       stack: Array[Int], sp: Int, members: Array[Int], nI: Int, cnt: Int,
-      rows: Array[Array[Long]], outer: Array[Int], l: Int, sink: CliqueSink
+      rows: Array[Long], words: Int, outer: Array[Int], l: Int, sink: CliqueSink
   ): Unit = {
     def emitWithI(sp2: Int, lRem: Int): Unit = {
       if (lRem == 0) { if (sink.wantsCliques) sink.onClique(stack, sp2) else sink.onCount(1L); return }
@@ -204,7 +205,7 @@ object PlexListers {
         var nn = 0
         var j = idx + 1
         while (j < candLen) {
-          if (bit(rows, v, cand(j))) { next(nn) = cand(j); nn += 1 }
+          if (bit(rows, words, v, cand(j))) { next(nn) = cand(j); nn += 1 }
           j += 1
         }
         if (nn + nI >= lNew) {

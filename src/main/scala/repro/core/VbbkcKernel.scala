@@ -53,6 +53,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
 
   private val stack = new Array[Int](k)
   private val sub = new SubgraphBuilder(g)
+  private val dag = new BitDag // the bitset configurations' subproblem DAG, rebuilt in place
   // Bitset candidate rows, one per stack depth: the branch at depth sp
   // builds its candidate set in cRows(sp), so a subproblem entering at depth
   // sp starts from its full set in cRows(sp - 1). Rows grow only when a
@@ -94,27 +95,33 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
       }
       return
     }
-    // Induced subgraph on the candidate set, in dense local ids.
+    // Induced subgraph on the candidate set, in dense local ids, reordered
+    // by the sub-strategy.
     val s = cands.length
-    val adjL = sub.build(cands, null, 0)
-    val outer = cands.map(prep.toGlobal)
-    // Sub-strategy ordering of the local subgraph.
-    val (order, colors) = cfg.sub match {
-      case SubNatural => (Array.tabulate(s)(identity), null)
-      case SubDegree  => (ColorDag.degreeOrder(adjL), null)
-      case SubColor   => ColorDag.colorOrder(adjL)
-    }
+    sub.build(cands, s, null, 0)
     if (cfg.bitset) {
-      val dag = ColorDag.buildBits(adjL, order, colors, outer)
+      dag.load(sub, s)
+      val order = cfg.sub match {
+        case SubNatural => ColorDag.identityOrder(dag)
+        case SubDegree  => ColorDag.degreeOrder(dag)
+        case SubColor   => ColorDag.colorOrder(dag)
+      }
+      ColorDag.buildBits(dag, order, if (useColor) dag.localColors else null, cands, prep.toGlobal)
       if (cRows(0).length < dag.words) {
         var i = 0
         while (i < cRows.length) { cRows(i) = new Array[Long](dag.words); i += 1 }
       }
       val full = cRows(sp - 1)
       BitDag.fillAll(full, s)
-      recBits(dag, full, s, l0, sp, sink)
+      recBits(full, s, l0, sp, sink)
     } else {
-      recArr(ColorDag.build(adjL, order, colors, outer), Array.tabulate(s)(identity), l0, sp, sink)
+      val adjL = sub.intRows(s)
+      val (order, colors) = cfg.sub match {
+        case SubNatural => (Array.tabulate(s)(identity), null)
+        case SubDegree  => (ColorDag.degreeOrder(adjL), null)
+        case SubColor   => ColorDag.colorOrder(adjL)
+      }
+      recArr(ColorDag.build(adjL, order, colors, cands.map(prep.toGlobal)), Array.tabulate(s)(identity), l0, sp, sink)
     }
   }
 
@@ -143,7 +150,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
 
   // ----------------------------------------------------------- bitset kernel
 
-  private def recBits(dag: BitDag, c: Array[Long], cnt: Int, l: Int, sp: Int, sink: CliqueSink): Unit = {
+  private def recBits(c: Array[Long], cnt: Int, l: Int, sp: Int, sink: CliqueSink): Unit = {
     if (cnt < l) return
     // ET off is tested here as well: the JIT then compiles this recursion
     // from its own branch profile and keeps the probe, hot in EBBkC-H, out
@@ -154,7 +161,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
     // A counting branch at l = 3 sums its children's pairs in place.
     val leaves = l == 3 && !sink.wantsCliques
     val words = dag.words
-    val outRows = dag.outRows
+    val out = dag.out
     val cNext = cRows(sp)
     var total = 0L
     var live = true
@@ -169,12 +176,12 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
           var cntNext = 0
           var ww = 0
           while (ww < words) {
-            cNext(ww) = c(ww) & outRows(u)(ww); cntNext += java.lang.Long.bitCount(cNext(ww)); ww += 1
+            cNext(ww) = c(ww) & out(u * words + ww); cntNext += java.lang.Long.bitCount(cNext(ww)); ww += 1
           }
           if (leaves) { if (cntNext >= 2) total += dag.pairsIn(cNext) }
           else if (cntNext >= l - 1 && (!colorRule2 || l - 1 < 3 || dag.hasColors(cNext, l - 1))) { // Rule (2)
             stack(sp) = dag.toOuter(u)
-            recBits(dag, cNext, cntNext, l - 1, sp + 1, sink)
+            recBits(cNext, cntNext, l - 1, sp + 1, sink)
           }
         }
       }

@@ -177,7 +177,9 @@ object LocalGraph {
   * cutoff. Each induced edge is found once, from its smaller endpoint, by
   * probing the later members against that endpoint's list, so a member
   * costs about min(its degree, the members after it) lookups and no build
-  * walks a hub's whole list. Holds scratch arrays: one instance per kernel.
+  * walks a hub's whole list. [[build]] leaves an edge list; [[wordRows]]
+  * (every bitset recursion) and [[intRows]] (the int-array baselines) read
+  * it as adjacency rows. Holds scratch arrays: one instance per kernel.
   */
 final class SubgraphBuilder(g: LocalGraph) {
   private var hitIdx, hitPos = new Array[Int](64)
@@ -189,14 +191,12 @@ final class SubgraphBuilder(g: LocalGraph) {
   var edgeIds = new Array[Int](64)
   var ends = new Array[Int](128)
 
-  /** Sorted adjacency rows of the subgraph induced on the ascending `verts`,
-    * over local ids (row i is `verts(i)`). With `rank` non-null only the
-    * edges f with `rank(f) > r` are kept.
+  /** Collects the edges of the subgraph induced on the ascending
+    * `verts(0 until s)`, over local ids (vertex i is `verts(i)`). With
+    * `rank` non-null only the edges f with `rank(f) > r` are kept.
     */
-  def build(verts: Array[Int], rank: Array[Int], r: Int): Array[Array[Int]] = {
-    val s = verts.length
+  def build(verts: Array[Int], s: Int, rank: Array[Int], r: Int): Unit = {
     if (hitIdx.length < s) { hitIdx = new Array[Int](s); hitPos = new Array[Int](s) }
-    val deg = new Array[Int](s)
     var ne = 0
     var i = 0
     while (i < s) {
@@ -205,22 +205,42 @@ final class SubgraphBuilder(g: LocalGraph) {
       while (t < h) {
         val f = g.adjEdgeIds(hitPos(t))
         if (rank == null || rank(f) > r) {
-          val j = hitIdx(t)
           if (ne == edgeIds.length) { edgeIds = Arrays.copyOf(edgeIds, 2 * ne); ends = Arrays.copyOf(ends, 4 * ne) }
-          edgeIds(ne) = f; ends(2 * ne) = i; ends(2 * ne + 1) = j; ne += 1
-          deg(i) += 1; deg(j) += 1
+          edgeIds(ne) = f; ends(2 * ne) = i; ends(2 * ne + 1) = hitIdx(t); ne += 1
         }
         t += 1
       }
       i += 1
     }
     numEdges = ne
+  }
+
+  /** The last build's `s` vertices as bitset rows of `words` words: row i,
+    * at `rows(i * words until (i + 1) * words)`, has bit j set iff i ~ j.
+    * The rows are cleared first.
+    */
+  def wordRows(rows: Array[Long], words: Int, s: Int): Unit = {
+    Arrays.fill(rows, 0, s * words, 0L)
+    var e = 0
+    while (e < numEdges) {
+      val a = ends(2 * e); val b = ends(2 * e + 1)
+      rows(a * words + (b >>> 6)) |= 1L << (b & 63)
+      rows(b * words + (a >>> 6)) |= 1L << (a & 63)
+      e += 1
+    }
+  }
+
+  /** The last build's `s` vertices as sorted adjacency rows. */
+  def intRows(s: Int): Array[Array[Int]] = {
+    val deg = new Array[Int](s)
+    var e = 0
+    while (e < 2 * numEdges) { deg(ends(e)) += 1; e += 1 }
     // Edges arrive in (i, j) order, so every row fills in ascending order.
     val rows = new Array[Array[Int]](s)
-    i = 0
+    var i = 0
     while (i < s) { rows(i) = new Array[Int](deg(i)); deg(i) = 0; i += 1 }
-    var e = 0
-    while (e < ne) {
+    e = 0
+    while (e < numEdges) {
       val a = ends(2 * e); val b = ends(2 * e + 1)
       rows(a)(deg(a)) = b; deg(a) += 1
       rows(b)(deg(b)) = a; deg(b) += 1

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{GraphGen, LocalGraph, SubgraphBuilder}
 
 /** The shared position-space DAG builder: int and bitset rows agree, edges
   * point forward, and the color order gives the invariants Rules (1a), (1b)
@@ -17,6 +17,35 @@ class ColorDagTest extends AnyFunSuite {
   private def bitsOf(row: Array[Long]): Seq[Int] =
     for (q <- 0 until 64 * row.length if (row(q >>> 6) & (1L << (q & 63))) != 0) yield q
 
+  /** Row p of the flat `rows` of `words` words each. */
+  private def rowOf(rows: Array[Long], words: Int, p: Int): Array[Long] = rows.slice(p * words, (p + 1) * words)
+
+  /** The word-row DAG of g's subgraph induced on the ascending `verts`, in
+    * the order `order` computes from the loaded rows, with the local colors
+    * when `colored`.
+    */
+  private def wordDag(
+      g: LocalGraph, verts: Array[Int], order: BitDag => Array[Int], colored: Boolean, outer: Array[Int]): BitDag = {
+    val sub = new SubgraphBuilder(g)
+    sub.build(verts, verts.length, null, 0)
+    val dag = new BitDag
+    dag.load(sub, verts.length)
+    ColorDag.buildBits(dag, order(dag), if (colored) dag.localColors else null, verts, outer)
+    dag
+  }
+
+  /** Asserts that `bits` holds the rows, colors and outer ids of `dag`. */
+  private def assertSameDag(bits: BitDag, dag: ColorDag): Unit = {
+    assert(bits.s == dag.s && bits.words == (dag.s + 63) / 64)
+    if (dag.colors != null) assert(bits.colors.take(dag.s).sameElements(dag.colors))
+    assert(bits.toOuter.take(dag.s).sameElements(dag.toOuter))
+    for (p <- 0 until dag.s) {
+      assert(bitsOf(rowOf(bits.out, bits.words, p)) == dag.out(p).toSeq, s"out row $p")
+      val in = (0 until p).filter(q => dag.out(q).contains(p))
+      assert(bitsOf(rowOf(bits.und, bits.words, p)) == in ++ dag.out(p), s"und row $p")
+    }
+  }
+
   test("orderByKeyDesc sorts by key desc then index asc") {
     val colors = Array(2, 3, 1, 3, 2)
     assert(IntArrays.orderByKeyDesc(colors, colors.length).toSeq == Seq(1, 3, 0, 4, 2))
@@ -28,17 +57,36 @@ class ColorDagTest extends AnyFunSuite {
       val (order, colors) = ColorDag.colorOrder(adjL)
       val outer = Array.tabulate(g.n)(v => 1000 + v)
       val dag = ColorDag.build(adjL, order, colors, outer)
-      val bits = ColorDag.buildBits(adjL, order, colors, outer)
-      assert(bits.s == dag.s && bits.words == (dag.s + 63) / 64)
-      assert(bits.colors.sameElements(dag.colors))
-      assert(bits.toOuter.sameElements(dag.toOuter))
-      for (p <- 0 until dag.s) {
-        assert(bitsOf(bits.outRows(p)) == dag.out(p).toSeq, s"out row $p")
-        val in = (0 until p).filter(q => dag.out(q).contains(p))
-        assert(bitsOf(bits.undRows(p)) == in ++ dag.out(p), s"und row $p")
-      }
+      assertSameDag(wordDag(g, Array.tabulate(g.n)(identity), ColorDag.colorOrder, colored = true, outer), dag)
     }
   }
+
+  // s straddles the word boundaries; the three orders are BitCol's and
+  // EBBkC-H's (color), SDegree's (degree) and EBBkC-C's (identity).
+  for (s <- Seq(1, 63, 64, 65, 128, 129); kind <- Seq("color", "degree", "identity"))
+    test(s"word-row builder equals the int-row reference, s=$s, $kind order") {
+      // The members are every other vertex of a host graph, so local ids,
+      // host ids and outer ids all differ.
+      val g = GraphGen.gnp(2 * s + 3, 0.4, s)
+      val verts = Array.tabulate(s)(i => 2 * i + 1)
+      val adjL = Array.tabulate(s)(i => (0 until s).filter(j => g.hasEdge(verts(i), verts(j))).toArray)
+      val outer = Array.tabulate(g.n)(v => 5000 + v)
+      val (order, colors) = kind match {
+        case "color"    => ColorDag.colorOrder(adjL)
+        case "degree"   => (ColorDag.degreeOrder(adjL), null)
+        case "identity" => (Array.tabulate(s)(identity), null)
+      }
+      val wordOrder: BitDag => Array[Int] = kind match {
+        case "color"    => ColorDag.colorOrder
+        case "degree"   => ColorDag.degreeOrder
+        case "identity" => ColorDag.identityOrder
+      }
+      val bits = wordDag(g, verts, wordOrder, colored = colors != null, outer)
+      assert(bits.order.take(s).sameElements(order), "order")
+      if (colors != null) assert(bits.localColors.take(s).sameElements(colors), "colors")
+      else assert(bits.colors.take(s).forall(_ == 0))
+      assertSameDag(bits, ColorDag.build(adjL, order, colors, Array.tabulate(s)(i => outer(verts(i)))))
+    }
 
   test("positions relabel the graph and every out edge points to a larger position") {
     for (g <- graphs) {
@@ -82,7 +130,8 @@ class ColorDagTest extends AnyFunSuite {
       val (order, colors) = ColorDag.colorOrder(adjL)
       val outer = Array.tabulate(g.n)(v => 1000 + v)
       val dag = ColorDag.build(adjL, order, colors, outer)
-      val bits = ColorDag.buildBits(adjL, order, colors, outer)
+      val bits = wordDag(g, Array.tabulate(g.n)(identity), ColorDag.colorOrder, colored = true, outer)
+      assertSameDag(bits, dag)
       assert(bits.words == 1)
       val numColors = dag.colors.distinct.length
       val full = -1L >>> (64 - dag.s)

@@ -58,6 +58,38 @@ object KernelFixtures {
     EbbkcAlgo(HybridOrdering, rule2 = true, et = EtAuto)
   )
 
+  /** A complete tripartite core K(70, 70, 70) with a 6-clique planted in
+    * each part, over a sparse background. Every core edge lies in at least
+    * 70 triangles, so tau >= 65 and the first-peeled edges' EBBkC-H branch
+    * graphs (a part and its planted clique) span two words, while later and
+    * background edges get one-word branch graphs.
+    */
+  lazy val mixedWidth: LocalGraph = {
+    val a = 70
+    val n = 3 * a + 90
+    val core = for (p <- 0 until 3; q <- p + 1 until 3; i <- 0 until a; j <- 0 until a) yield (p * a + i, q * a + j)
+    GraphGen.plantCliques(
+      LocalGraph.fromEdges(n, core ++ GraphGen.gnm(n, 500, 12).edges),
+      Seq(0 until 6, a until a + 6, 2 * a until 2 * a + 6))
+  }
+
+  /** Graphs whose bitset subproblems have 63 to 65 and 127 to 129 vertices:
+    * one, two and three words, full or with one bit in the last word. The
+    * dense gnp has VBBkC subproblems (out-neighborhoods in the degeneracy
+    * DAG) of 60 to 85 vertices. "bicliques" is a disjoint union of complete
+    * bipartite graphs K(a, a), a in {63, 64, 65, 127, 128, 129}, each with a
+    * 6-clique planted in both sides and random edges inside them: a VBBkC
+    * subproblem there is a whole side, and so is the EBBkC-C subproblem of
+    * an edge inside the other side.
+    */
+  lazy val wordBoundary: Seq[(String, LocalGraph)] = Seq(
+    "gnp200" -> GraphGen.gnp(200, 0.5, 26),
+    "bicliques" -> Seq(63, 64, 65, 127, 128, 129).map { a =>
+      val sides = for (i <- 0 until a; j <- a until 2 * a) yield (i, j)
+      GraphGen.plantCliques(
+        LocalGraph.fromEdges(2 * a, sides ++ GraphGen.gnm(2 * a, 150, a).edges), Seq(0 until 6, a until a + 6))
+    }.reduce(GraphGen.disjointUnion))
+
   lazy val expected: Map[(String, Int), Set[Seq[Int]]] = (for {
     (name, g) <- graphs
     k <- ks
@@ -102,6 +134,7 @@ class KernelListTest extends AnyFunSuite {
 }
 
 class KernelEdgeCaseTest extends AnyFunSuite {
+  import KernelFixtures.mixedWidth
 
   test("empty graph yields zero cliques") {
     for (cfg <- Seq[AlgoConfig](Algos.EBBkCET, Algos.BitCol, Algos.Degen))
@@ -228,53 +261,80 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     }
   }
 
+  /** The k-cliques `cfg` lists in `g` (of at most 4096 vertices), sorted,
+    * each as one Long of its sorted ids, 12 bits each: millions of cliques
+    * fit.
+    */
+  private def listing(g: LocalGraph, k: Int, cfg: AlgoConfig): Array[Long] = {
+    val sink = new CliqueSink {
+      var keys = new Array[Long](1 << 16)
+      var n = 0
+      private val ids = new Array[Int](k)
+      override def wantsCliques: Boolean = true
+      override def onClique(stack: Array[Int], len: Int): Unit = {
+        System.arraycopy(stack, 0, ids, 0, len)
+        java.util.Arrays.sort(ids, 0, len)
+        var key = 0L
+        var i = 0
+        while (i < len) { key = (key << 12) | ids(i); i += 1 }
+        if (n == keys.length) keys = java.util.Arrays.copyOf(keys, 2 * n)
+        keys(n) = key; n += 1
+      }
+      override def onCount(c: Long): Unit = fail("listing run received a count")
+    }
+    val prep = KClique.prepare(g, k, cfg)
+    val kernel = prep.newKernel()
+    for (id <- 0 until prep.numSubproblems) kernel.run(id, sink)
+    val out = java.util.Arrays.copyOf(sink.keys, sink.n)
+    java.util.Arrays.sort(out)
+    out
+  }
+
+  /** Asserts that EBBkC+ET lists every k-clique of `g` once, as BitCol does. */
+  private def assertListingsAgree(g: LocalGraph, k: Int, clue: String): Unit = {
+    val et = listing(g, k, Algos.EBBkCET)
+    assert(et.length == KClique.count(g, k, Algos.BitCol), clue)
+    assert((1 until et.length).forall(i => et(i - 1) != et(i)), s"$clue: duplicate cliques emitted")
+    assert(java.util.Arrays.equals(et, listing(g, k, Algos.BitCol)), clue)
+  }
+
   test("multi-word candidate sets: dense gnp listings of EBBkC+ET equal BitCol's") {
     val g = GraphGen.gnp(110, 0.75, 11)
-    // Millions of cliques: keep each as one Long, its sorted ids 12 bits each.
-    def listing(k: Int, cfg: AlgoConfig): Array[Long] = {
-      val sink = new CliqueSink {
-        var keys = new Array[Long](1 << 16)
-        var n = 0
-        private val ids = new Array[Int](k)
-        override def wantsCliques: Boolean = true
-        override def onClique(stack: Array[Int], len: Int): Unit = {
-          System.arraycopy(stack, 0, ids, 0, len)
-          java.util.Arrays.sort(ids, 0, len)
-          var key = 0L
-          var i = 0
-          while (i < len) { key = (key << 12) | ids(i); i += 1 }
-          if (n == keys.length) keys = java.util.Arrays.copyOf(keys, 2 * n)
-          keys(n) = key; n += 1
-        }
-        override def onCount(c: Long): Unit = fail("listing run received a count")
-      }
-      val prep = KClique.prepare(g, k, cfg)
-      val kernel = prep.newKernel()
-      for (id <- 0 until prep.numSubproblems) kernel.run(id, sink)
-      val out = java.util.Arrays.copyOf(sink.keys, sink.n)
-      java.util.Arrays.sort(out)
-      out
+    for (k <- 4 to 5) assertListingsAgree(g, k, s"k=$k")
+  }
+
+  test("word-boundary fixtures: subproblems of 63..65 and 127..129 vertices") {
+    import KernelFixtures.wordBoundary
+    def hist(sizes: Seq[Int]): Set[Int] = sizes.filter(s => (63 to 65).contains(s) || (127 to 129).contains(s)).toSet
+    // VBBkC: out-neighborhoods in the degeneracy DAG.
+    def vbbkc(g: LocalGraph): Seq[Int] = {
+      val h = VbbkcPrep.build(g, 4, Algos.BitCol).gRel
+      (0 until h.n).map(v => h.offsets(v + 1) - h.outStart(v))
     }
-    for (k <- 4 to 5) {
-      val et = listing(k, Algos.EBBkCET)
-      assert(et.length == KClique.count(g, k, Algos.BitCol), s"k=$k")
-      assert((1 until et.length).forall(i => et(i - 1) != et(i)), s"k=$k: duplicate cliques emitted")
-      assert(java.util.Arrays.equals(et, listing(k, Algos.BitCol)), s"k=$k")
+    // EBBkC-C: common out-neighborhoods of the edges of the color DAG.
+    def ebbkcC(g: LocalGraph): Seq[Int] = {
+      val h = EbbkcPrep.build(g, 4, Algos.EBBkCC_ET).g
+      val out = Array.tabulate(h.n)(v => java.util.Arrays.copyOfRange(h.adj, h.outStart(v), h.offsets(v + 1)))
+      (0 until h.m).map(e => IntArrays.intersectionSize(out(h.edgeU(e)), out(h.edgeV(e))))
+    }
+    val Seq(gnp, bicliques) = wordBoundary.map(_._2)
+    assert(hist(vbbkc(gnp)) == Set(63, 64, 65))
+    assert(hist(vbbkc(bicliques)) == Set(63, 64, 65, 127, 128, 129))
+    assert(hist(ebbkcC(bicliques)) == Set(63, 64, 65, 127, 128, 129))
+  }
+
+  test("word-boundary fixtures: every bitset configuration's counts at k = 4..6 equal DDegree's") {
+    val cfgs = Seq[AlgoConfig](Algos.EBBkC, Algos.EBBkCET, Algos.EBBkCT_ET, Algos.EBBkCC_ET, Algos.BitCol,
+      Algos.SDegree, Algos.VBBkCET)
+    for ((name, g) <- KernelFixtures.wordBoundary; k <- 4 to 6) {
+      val want = KClique.count(g, k, Algos.DDegree)
+      assert(want > 0, s"$name k=$k")
+      for (cfg <- cfgs) assert(KClique.count(g, k, cfg) == want, s"$name k=$k ${cfg.name}")
     }
   }
 
-  // A complete tripartite core K(70, 70, 70) with a 6-clique planted in
-  // each part, over a sparse background. Every core edge lies in at least 70
-  // triangles, so tau >= 65 and the first-peeled edges' EBBkC-H branch
-  // graphs (a part and its planted clique) span two words, while later and
-  // background edges get one-word branch graphs.
-  private lazy val mixedWidth: LocalGraph = {
-    val a = 70
-    val n = 3 * a + 90
-    val core = for (p <- 0 until 3; q <- p + 1 until 3; i <- 0 until a; j <- 0 until a) yield (p * a + i, q * a + j)
-    GraphGen.plantCliques(
-      LocalGraph.fromEdges(n, core ++ GraphGen.gnm(n, 500, 12).edges),
-      Seq(0 until 6, a until a + 6, 2 * a until 2 * a + 6))
+  test("word-boundary fixtures: EBBkC+ET's listing at k=5 equals BitCol's") {
+    for ((name, g) <- KernelFixtures.wordBoundary) assertListingsAgree(g, 5, name)
   }
 
   test("mixed-width fixture: branch graphs of more and of at most 64 vertices") {
@@ -335,9 +395,10 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     assert(t.seconds < 10, f"EBBkC-C+ET took ${t.seconds}%.1f s")
   }
 
-  test("EBBkC+ET count of the WK stand-in at k=8 allocates under 600 MB") {
-    // Guards the allocation-free branching: a per-branch `new Array` on the
-    // EBBkC-H path brings this back above 1 GB.
+  test("EBBkC+ET count of the WK stand-in at k=8 allocates under 30 MB") {
+    // Guards the allocation-free branching and the kernel-owned DAG scratch:
+    // a per-branch `new Array` on the EBBkC-H path brings this back above
+    // 1 GB, and building each branch graph's DAG in new arrays to 58 MB.
     val g = SynthGraphs("WK")
     val mx = java.lang.management.ManagementFactory.getThreadMXBean
       .asInstanceOf[com.sun.management.ThreadMXBean]
@@ -346,7 +407,7 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     val count = KClique.count(g, 8, Algos.EBBkCET)
     val mb = (mx.getThreadAllocatedBytes(tid) - before) / 1e6
     assert(count == 98568307L)
-    assert(mb < 600, f"allocated $mb%.0f MB")
+    assert(mb < 30, f"allocated $mb%.0f MB")
   }
 
   test("EBBkC+ET count of the WK stand-in at k=8 makes under 2M sink calls") {
@@ -366,10 +427,11 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     assert(sink.calls < 2000000L, s"${sink.calls} onCount calls")
   }
 
-  test("EBBkC+ET count of the PO stand-in at k=10 allocates under 300 MB") {
+  test("EBBkC+ET count of the PO stand-in at k=10 allocates under 40 MB") {
     // Guards the early-termination path, which this count hits about 2M
     // times: copying each passing branch into a new matrix, or a degree
-    // array per probe, brings this back near 800 MB.
+    // array per probe, brings this back near 800 MB; building each branch
+    // graph's DAG in new arrays, to 66 MB.
     val g = SynthGraphs("PO")
     val mx = java.lang.management.ManagementFactory.getThreadMXBean
       .asInstanceOf[com.sun.management.ThreadMXBean]
@@ -378,7 +440,7 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     val count = KClique.count(g, 10, Algos.EBBkCET)
     val mb = (mx.getThreadAllocatedBytes(tid) - before) / 1e6
     assert(count == 45362534L)
-    assert(mb < 300, f"allocated $mb%.0f MB")
+    assert(mb < 40, f"allocated $mb%.0f MB")
   }
 
   test("paper running example: 4-cliques under color pruning (Figure 2)") {

@@ -12,10 +12,10 @@ class PlexListersTest extends AnyFunSuite {
   private def run(g: LocalGraph, l: Int, t: Int, wantCliques: Boolean): Either[Long, Set[Seq[Int]]] = {
     val nv = g.n
     val words = (nv + 63) >>> 6
-    val rows = Array.ofDim[Long](nv, words)
+    val rows = new Array[Long](nv * words)
     for ((u, v) <- g.edges) {
-      rows(u)(v >>> 6) |= 1L << (v & 63)
-      rows(v)(u >>> 6) |= 1L << (u & 63)
+      rows(u * words + (v >>> 6)) |= 1L << (v & 63)
+      rows(v * words + (u >>> 6)) |= 1L << (u & 63)
     }
     val verts = Array.tabulate(nv)(identity)
     val all = new Array[Long](words)
@@ -23,12 +23,12 @@ class PlexListersTest extends AnyFunSuite {
     val stack = new Array[Int](nv + l)
     if (wantCliques) {
       val sink = new CollectingSink
-      val handled = PlexListers.tryEarlyTerminate(stack, 0, all, nv, rows, verts, l, t, sink)
+      val handled = PlexListers.tryEarlyTerminate(stack, 0, all, nv, rows, words, verts, l, t, sink)
       assert(handled, s"expected t=$t to handle this graph")
       Right(sink.cliques.map(_.toSeq).toSet)
     } else {
       val sink = new CountingSink
-      val handled = PlexListers.tryEarlyTerminate(stack, 0, all, nv, rows, verts, l, t, sink)
+      val handled = PlexListers.tryEarlyTerminate(stack, 0, all, nv, rows, words, verts, l, t, sink)
       assert(handled, s"expected t=$t to handle this graph")
       Left(sink.total)
     }
@@ -44,10 +44,10 @@ class PlexListersTest extends AnyFunSuite {
     val rnd = new scala.util.Random(h.n * 31 + h.m)
     val ids = rnd.shuffle((0 until n).toVector).take(h.n).toArray
     val isMember = ids.toSet
-    val rows = Array.ofDim[Long](n, 3)
+    val rows = new Array[Long](n * 3)
     def link(a: Int, b: Int): Unit = {
-      rows(a)(b >>> 6) |= 1L << (b & 63)
-      rows(b)(a >>> 6) |= 1L << (a & 63)
+      rows(a * 3 + (b >>> 6)) |= 1L << (b & 63)
+      rows(b * 3 + (a >>> 6)) |= 1L << (a & 63)
     }
     for ((u, v) <- h.edges) link(ids(u), ids(v))
     for (a <- 0 until n; b <- a + 1 until n if !(isMember(a) && isMember(b)) && rnd.nextBoolean()) link(a, b)
@@ -55,7 +55,7 @@ class PlexListersTest extends AnyFunSuite {
     for (u <- ids) c(u >>> 6) |= 1L << (u & 63)
     val stack = new Array[Int](2 + l)
     stack(0) = -1; stack(1) = -2
-    val handled = PlexListers.tryEarlyTerminate(stack, 2, c, h.n, rows, Array.tabulate(n)(1000 + _), l, t, sink)
+    val handled = PlexListers.tryEarlyTerminate(stack, 2, c, h.n, rows, 3, Array.tabulate(n)(1000 + _), l, t, sink)
     (handled, ids)
   }
 
@@ -148,23 +148,23 @@ class PlexListersTest extends AnyFunSuite {
 
   test("dispatch refuses graphs sparser than the threshold") {
     val g = GraphGen.cycle(8) // min degree 2 << 8 - t for small t
-    val rows = Array.ofDim[Long](8, 1)
-    for ((u, v) <- g.edges) { rows(u)(0) |= 1L << v; rows(v)(0) |= 1L << u }
+    val rows = new Array[Long](8)
+    for ((u, v) <- g.edges) { rows(u) |= 1L << v; rows(v) |= 1L << u }
     val sink = new CountingSink
     val handled = PlexListers.tryEarlyTerminate(
-      new Array[Int](8), 0, Array(0xffL), 8, rows, Array.tabulate(8)(identity), 3, 3, sink)
+      new Array[Int](8), 0, Array(0xffL), 8, rows, 1, Array.tabulate(8)(identity), 3, 3, sink)
     assert(!handled)
     assert(sink.total == 0)
   }
 
   test("partial clique prefix is preserved in emissions") {
     val g = GraphGen.complete(5)
-    val rows = Array.ofDim[Long](5, 1)
-    for ((u, v) <- g.edges) { rows(u)(0) |= 1L << v; rows(v)(0) |= 1L << u }
+    val rows = new Array[Long](5)
+    for ((u, v) <- g.edges) { rows(u) |= 1L << v; rows(v) |= 1L << u }
     val stack = new Array[Int](8)
     stack(0) = 100; stack(1) = 200 // pretend S = {100, 200}
     val sink = new CollectingSink
-    PlexListers.tryEarlyTerminate(stack, 2, Array(0x1fL), 5, rows, Array.tabulate(5)(identity), 2, 2, sink)
+    PlexListers.tryEarlyTerminate(stack, 2, Array(0x1fL), 5, rows, 1, Array.tabulate(5)(identity), 2, 2, sink)
     assert(sink.cliques.nonEmpty)
     assert(sink.cliques.forall(c => c.contains(100) && c.contains(200) && c.length == 4))
   }
