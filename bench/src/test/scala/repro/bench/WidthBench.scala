@@ -7,13 +7,15 @@ import repro.util.Timer
 /** Times the multi-word bitset recursions, which no stand-in reaches: every
   * WK and PO branch graph has at most tau = 54 vertices, one word. On the
   * mixed-width fixture (a complete tripartite core, tau >= 65) the first
-  * EBBkC branch graphs and the BitCol subproblems span two words and the
-  * rest one. Each cell is the median of 7 serial counts after 3 warm-ups;
-  * the counts must agree per k.
+  * EBBkC branch graphs and the VBBkC subproblems span two words and the
+  * rest one; DDegree and DDegCol build those subproblems as word rows too
+  * and read them back as int rows. Each cell is the median of 7 serial
+  * counts after 3 warm-ups; the counts must agree per k.
   */
 class WidthBench extends AnyFunSuite {
 
-  private val algos: Seq[AlgoConfig] = Seq(Algos.EBBkCET, Algos.EBBkCT_ET, Algos.EBBkCC_ET, Algos.BitCol)
+  private val algos: Seq[AlgoConfig] =
+    Seq(Algos.EBBkCET, Algos.EBBkCT_ET, Algos.EBBkCC_ET, Algos.BitCol, Algos.DDegree, Algos.DDegCol)
 
   test("multi-word paths: mixed-width fixture, k = 5..8") {
     val g = KernelFixtures.mixedWidth

@@ -1,21 +1,20 @@
 package repro.core
 
 import repro.graph.SubgraphBuilder
-import repro.order.Coloring
 
 /** A DAG over a (sub)graph, relabeled into *position space*: vertex p is the
   * p-th vertex of a vertex order, and every edge points to the larger
   * position. Under [[ColorDag.colorOrder]] (color descending, ties by id
   * ascending — Section 4.3) `colors` is non-increasing with position. This is
-  * the structure the array VBBkC baselines build per subproblem; [[BitDag]]
-  * is the same DAG with bitset rows.
+  * the int-row form the array VBBkC baselines recurse on, read off a
+  * [[BitDag]] by [[ColorDag.fromBits]].
   *
   * Besides the rows, the DAG owns the l = 1 / l = 2 base cases of every
   * recursion over it. Each writes the clique's last vertices into `stack`
   * from `sp` on, mapped through `toOuter`.
   *
   * @param out      out-neighbors (larger positions), sorted ascending
-  * @param colors   color of each position, or null for orders without colors
+  * @param colors   color of each position; 0 for orders without colors
   * @param toOuter  position -> caller's vertex id (for emission)
   */
 final class ColorDag(
@@ -261,34 +260,13 @@ object BitDag {
   }
 }
 
-/** The one builder of position-space DAGs, in two forms. The int-row form
-  * (the int-array baselines) takes adjacency lists over dense ids
-  * `0 until s` (rows in any order), a vertex order (position -> dense id),
-  * and `colors`/`toOuter` indexed by dense id. The word-row form reads the
-  * rows a [[BitDag]] loaded and writes into that DAG's scratch; its orders
-  * and colors equal the int-row form's on the same graph.
+/** The one builder of position-space DAGs. It reads the rows a [[BitDag]]
+  * loaded, orders them (identity, degree or color order) and writes the
+  * position-space rows into that DAG's scratch with [[buildBits]]. The
+  * bitset recursions read the [[BitDag]] itself; the int-array baselines
+  * read its out-rows through [[fromBits]].
   */
 object ColorDag {
-
-  /** Dense ids by degree descending, ties by id ascending. */
-  def degreeOrder(adjL: Array[Array[Int]]): Array[Int] = {
-    val s = adjL.length
-    val deg = new Array[Int](s)
-    var i = 0
-    while (i < s) { deg(i) = adjL(i).length; i += 1 }
-    IntArrays.orderByKeyDesc(deg, s)
-  }
-
-  /** The local color order of Section 4.3: a greedy coloring in
-    * degree-descending order, then positions by color descending, ties by
-    * id ascending.
-    *
-    * @return (position -> dense id, color of each dense id)
-    */
-  def colorOrder(adjL: Array[Array[Int]]): (Array[Int], Array[Int]) = {
-    val colors = Coloring.greedyLocal(adjL, degreeOrder(adjL))
-    (IntArrays.orderByKeyDesc(colors, adjL.length), colors)
-  }
 
   /** Inverse of `order`: dense id -> position. */
   def positionsOf(order: Array[Int]): Array[Int] = {
@@ -298,30 +276,29 @@ object ColorDag {
     posOf
   }
 
-  /** Sorted int rows; `colors` may be null. */
-  def build(
-      adjL: Array[Array[Int]], order: Array[Int], colors: Array[Int], toOuter: Array[Int]): ColorDag = {
-    val s = adjL.length
-    val posOf = positionsOf(order)
-    val out = new Array[Array[Int]](s)
-    val posColors = if (colors == null) null else new Array[Int](s)
-    val posOuter = new Array[Int](s)
+  /** The int-row form of the DAG `dag` holds: each position's out-row as an
+    * ascending `Array[Int]`, with `dag`'s colors and outer ids shared.
+    */
+  def fromBits(dag: BitDag): ColorDag = {
+    val words = dag.words
+    val out = new Array[Array[Int]](dag.s)
     var p = 0
-    while (p < s) {
-      val v = order(p)
-      val nb = adjL(v)
-      val undP = new Array[Int](nb.length)
-      var j = 0
-      while (j < nb.length) { undP(j) = posOf(nb(j)); j += 1 }
-      java.util.Arrays.sort(undP)
-      var lo = 0
-      while (lo < undP.length && undP(lo) <= p) lo += 1
-      out(p) = java.util.Arrays.copyOfRange(undP, lo, undP.length)
-      if (colors != null) posColors(p) = colors(v)
-      posOuter(p) = toOuter(v)
+    while (p < dag.s) {
+      var cnt = 0
+      var w = p * words
+      while (w < (p + 1) * words) { cnt += java.lang.Long.bitCount(dag.out(w)); w += 1 }
+      val row = new Array[Int](cnt)
+      cnt = 0
+      w = 0
+      while (w < words) {
+        var bits = dag.out(p * words + w)
+        while (bits != 0) { row(cnt) = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits); bits &= bits - 1; cnt += 1 }
+        w += 1
+      }
+      out(p) = row
       p += 1
     }
-    new ColorDag(s, out, posColors, posOuter)
+    new ColorDag(dag.s, out, dag.colors, dag.toOuter)
   }
 
   /** The identity order of the graph `dag` loaded, in `dag.order`. */
@@ -331,8 +308,9 @@ object ColorDag {
     dag.order
   }
 
-  /** [[degreeOrder]] of the graph `dag` loaded, in `dag.order`: each degree
-    * is a row's popcount, kept in `dag.localColors`.
+  /** The vertices of the graph `dag` loaded by degree descending, ties by
+    * id ascending, in `dag.order`: each degree is a row's popcount, kept in
+    * `dag.localColors`.
     */
   def degreeOrder(dag: BitDag): Array[Int] = {
     val words = dag.words
@@ -349,10 +327,12 @@ object ColorDag {
     IntArrays.orderByKeyDesc(deg, dag.s, dag.packed, dag.order)
   }
 
-  /** [[colorOrder]] of the graph `dag` loaded: the order in `dag.order`,
-    * the colors in `dag.localColors`. Each vertex, in degree order, joins
-    * the first color class that holds none of its neighbors: the smallest
-    * color absent from them, as in [[Coloring.greedyLocal]].
+  /** The local color order of Section 4.3 of the graph `dag` loaded: a
+    * greedy coloring in [[degreeOrder]], then positions by color descending,
+    * ties by id ascending. The order goes to `dag.order`, the colors
+    * (1-based) to `dag.localColors`. Each vertex, in degree order, joins the
+    * first color class that holds none of its neighbors: the smallest color
+    * absent from them.
     */
   def colorOrder(dag: BitDag): Array[Int] = {
     val s = dag.s

@@ -40,7 +40,9 @@ object VbbkcPrep {
   *
   * Per subproblem it materializes the induced subgraph on the top vertex's
   * out-neighborhood (at most delta vertices), reorders it by the configured
-  * sub-strategy, and recurses one vertex at a time (Algorithm 1).
+  * sub-strategy into one [[BitDag]], and recurses one vertex at a time
+  * (Algorithm 1) on its bitset rows or, for the array baselines, on the
+  * same DAG as sorted int rows.
   */
 final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
   private val g = prep.gRel
@@ -53,7 +55,10 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
 
   private val stack = new Array[Int](k)
   private val sub = new SubgraphBuilder(g)
-  private val dag = new BitDag // the bitset configurations' subproblem DAG, rebuilt in place
+  private val dag = new BitDag // the subproblem DAG, rebuilt in place
+  // The subproblem's vertices, ascending (builder local id i is cands(i)),
+  // and the EP scheme's probe hits.
+  private val cands, hitIdx, hitPos = new Array[Int](g.maxDegree)
   // Bitset candidate rows, one per stack depth: the branch at depth sp
   // builds its candidate set in cRows(sp), so a subproblem entering at depth
   // sp starts from its full set in cRows(sp - 1). Rows grow only when a
@@ -63,50 +68,53 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
   override def run(subId: Int, sink: CliqueSink): Unit =
     if (cfg.edgeParallel) runEdgeSub(subId, sink) else runVertexSub(subId, sink)
 
-  /** Rank-space out-neighbors of v (suffix of the sorted adjacency list). */
-  private def outNeighbors(v: Int): Array[Int] = java.util.Arrays.copyOfRange(g.adj, g.outStart(v), g.offsets(v + 1))
-
   private def runVertexSub(v: Int, sink: CliqueSink): Unit = {
     // O(1) prune: out-degree in the degeneracy DAG is bounded by coreness.
     if (prep.coreness(v) < k - 1) return
-    val cands = outNeighbors(v)
-    if (cands.length < k - 1) return
+    val from = g.outStart(v)
+    val s = g.offsets(v + 1) - from
+    if (s < k - 1) return
+    System.arraycopy(g.adj, from, cands, 0, s)
     stack(0) = prep.toGlobal(v)
-    processSub(cands, k - 1, 1, sink)
+    processSub(s, k - 1, 1, sink)
   }
 
   /** EP scheme: the first two branching levels are merged into one edge
-    * subproblem over the global degeneracy DAG (Section 6(7)).
+    * subproblem over the global degeneracy DAG (Section 6(7)). Its
+    * candidates are v's out-suffix probed in u's list.
     */
   private def runEdgeSub(e: Int, sink: CliqueSink): Unit = {
     val u = g.edgeU(e); val v = g.edgeV(e) // u < v in rank space
-    val cands = IntArrays.intersectSorted(outNeighbors(u), outNeighbors(v))
-    if (cands.length < k - 2) return
+    val s = g.probe(u, g.adj, g.outStart(v), g.offsets(v + 1), hitIdx, hitPos)
+    if (s < k - 2) return
+    var i = 0
+    while (i < s) { cands(i) = g.adj(hitIdx(i)); i += 1 }
     stack(0) = prep.toGlobal(u); stack(1) = prep.toGlobal(v)
-    processSub(cands, k - 2, 2, sink)
+    processSub(s, k - 2, 2, sink)
   }
 
-  private def processSub(cands: Array[Int], l0: Int, sp: Int, sink: CliqueSink): Unit = {
+  /** The subproblem on the ascending `cands(0 until s)`: their induced
+    * subgraph, ordered by the sub-strategy into the [[BitDag]], recursed on
+    * as bitset rows or, for the array baselines, as int rows.
+    */
+  private def processSub(s: Int, l0: Int, sp: Int, sink: CliqueSink): Unit = {
     if (l0 == 1) {
-      if (!sink.wantsCliques) sink.onCount(cands.length)
+      if (!sink.wantsCliques) sink.onCount(s)
       else {
         var i = 0
-        while (i < cands.length) { stack(sp) = prep.toGlobal(cands(i)); sink.onClique(stack, sp + 1); i += 1 }
+        while (i < s) { stack(sp) = prep.toGlobal(cands(i)); sink.onClique(stack, sp + 1); i += 1 }
       }
       return
     }
-    // Induced subgraph on the candidate set, in dense local ids, reordered
-    // by the sub-strategy.
-    val s = cands.length
     sub.build(cands, s, null, 0)
+    dag.load(sub, s)
+    val order = cfg.sub match {
+      case SubNatural => ColorDag.identityOrder(dag)
+      case SubDegree  => ColorDag.degreeOrder(dag)
+      case SubColor   => ColorDag.colorOrder(dag)
+    }
+    ColorDag.buildBits(dag, order, if (useColor) dag.localColors else null, cands, prep.toGlobal)
     if (cfg.bitset) {
-      dag.load(sub, s)
-      val order = cfg.sub match {
-        case SubNatural => ColorDag.identityOrder(dag)
-        case SubDegree  => ColorDag.degreeOrder(dag)
-        case SubColor   => ColorDag.colorOrder(dag)
-      }
-      ColorDag.buildBits(dag, order, if (useColor) dag.localColors else null, cands, prep.toGlobal)
       if (cRows(0).length < dag.words) {
         var i = 0
         while (i < cRows.length) { cRows(i) = new Array[Long](dag.words); i += 1 }
@@ -114,15 +122,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
       val full = cRows(sp - 1)
       BitDag.fillAll(full, s)
       recBits(full, s, l0, sp, sink)
-    } else {
-      val adjL = sub.intRows(s)
-      val (order, colors) = cfg.sub match {
-        case SubNatural => (Array.tabulate(s)(identity), null)
-        case SubDegree  => (ColorDag.degreeOrder(adjL), null)
-        case SubColor   => ColorDag.colorOrder(adjL)
-      }
-      recArr(ColorDag.build(adjL, order, colors, cands.map(prep.toGlobal)), Array.tabulate(s)(identity), l0, sp, sink)
-    }
+    } else recArr(ColorDag.fromBits(dag), Array.tabulate(s)(identity), l0, sp, sink)
   }
 
   // ------------------------------------------------------------ array kernel

@@ -178,8 +178,8 @@ object LocalGraph {
   * probing the later members against that endpoint's list, so a member
   * costs about min(its degree, the members after it) lookups and no build
   * walks a hub's whole list. [[build]] leaves an edge list; [[wordRows]]
-  * (every bitset recursion) and [[intRows]] (the int-array baselines) read
-  * it as adjacency rows. Holds scratch arrays: one instance per kernel.
+  * reads it as bitset adjacency rows. Holds scratch arrays: one instance
+  * per kernel.
   */
 final class SubgraphBuilder(g: LocalGraph) {
   private var hitIdx, hitPos = new Array[Int](64)
@@ -228,24 +228,5 @@ final class SubgraphBuilder(g: LocalGraph) {
       rows(b * words + (a >>> 6)) |= 1L << (a & 63)
       e += 1
     }
-  }
-
-  /** The last build's `s` vertices as sorted adjacency rows. */
-  def intRows(s: Int): Array[Array[Int]] = {
-    val deg = new Array[Int](s)
-    var e = 0
-    while (e < 2 * numEdges) { deg(ends(e)) += 1; e += 1 }
-    // Edges arrive in (i, j) order, so every row fills in ascending order.
-    val rows = new Array[Array[Int]](s)
-    var i = 0
-    while (i < s) { rows(i) = new Array[Int](deg(i)); deg(i) = 0; i += 1 }
-    e = 0
-    while (e < numEdges) {
-      val a = ends(2 * e); val b = ends(2 * e + 1)
-      rows(a)(deg(a)) = b; deg(a) += 1
-      rows(b)(deg(b)) = a; deg(b) += 1
-      e += 1
-    }
-    rows
   }
 }

@@ -7,40 +7,32 @@ import repro.graph.LocalGraph
   */
 object Coloring {
 
-  /** Inverse-degeneracy greedy coloring of the whole graph: [[greedyLocal]]
-    * in reverse degeneracy order, which uses at most delta + 1 colors (the
-    * coloring of Hasenplaugh et al. used by the VBBkC baselines).
+  /** Inverse-degeneracy greedy coloring of the whole graph, which uses at
+    * most delta + 1 colors (the coloring of Hasenplaugh et al. used by the
+    * VBBkC baselines): each vertex, in reverse degeneracy order, gets the
+    * smallest color (1-based) absent from its already-colored neighbors.
     */
-  def inverseDegeneracy(g: LocalGraph): Array[Int] =
-    greedyLocal(Array.tabulate(g.n)(g.neighborsOf), CoreDecomposition.run(g).order.reverse)
-
-  /** Greedy colors (1-based) of a graph given as adjacency lists over dense
-    * ids `0 until s`: each vertex, in `order`, gets the smallest color absent
-    * from its already-colored neighbors.
-    */
-  def greedyLocal(adjLists: Array[Array[Int]], order: Array[Int]): Array[Int] = {
-    val s = adjLists.length
-    val colors = new Array[Int](s)
-    val used = new Array[Int](s + 2)
+  def inverseDegeneracy(g: LocalGraph): Array[Int] = {
+    val order = CoreDecomposition.run(g).order
+    val colors = new Array[Int](g.n)
+    val used = new Array[Int](g.n + 2) // used(c) == stamp: a neighbor has color c
     var stamp = 0
-    var i = 0
-    while (i < order.length) {
+    var i = g.n - 1
+    while (i >= 0) {
       val v = order(i)
       stamp += 1
-      val nb = adjLists(v)
-      var j = 0
-      while (j < nb.length) {
-        val c = colors(nb(j))
+      var p = g.offsets(v)
+      val end = g.offsets(v + 1)
+      while (p < end) {
+        val c = colors(g.adj(p))
         if (c > 0) used(c) = stamp
-        j += 1
+        p += 1
       }
       var c = 1
       while (used(c) == stamp) c += 1
       colors(v) = c
-      i += 1
+      i -= 1
     }
     colors
   }
-
-  def numColors(colors: Array[Int]): Int = if (colors.isEmpty) 0 else colors.max
 }

@@ -26,8 +26,10 @@ final case class TrussResult(
   *
   * Support of an edge (u,v) is its triangle count |N(u) ∩ N(v)|. Peeling
   * repeatedly removes a minimum-support edge and decrements the supports of
-  * the at-most-2·support edges that shared a triangle with it. Runs in
-  * O(m^1.5 log) time — the log from binary-searched adjacency tests — which
+  * the at-most-2·support edges that shared a triangle with it. A removed
+  * edge's live triangles are found by one galloping probe
+  * ([[LocalGraph.probe]]) of its smaller endpoint's live neighbors in the
+  * other endpoint's list, so the peel runs in O(m^1.5 log) time, which
   * matches the O(delta · m) budget of the paper up to the log factor.
   */
 object TrussDecomposition {
@@ -86,15 +88,6 @@ object TrussDecomposition {
     sup
   }
 
-  /** Total number of triangles (each counted once). */
-  def triangleCount(g: LocalGraph): Long = {
-    var t = 0L
-    val sup = supports(g)
-    var e = 0
-    while (e < sup.length) { t += sup(e); e += 1 }
-    t / 3
-  }
-
   def run(g: LocalGraph): TrussResult = {
     val m = g.m
     val sup = supports(g)
@@ -122,6 +115,7 @@ object TrussDecomposition {
     val edgeOrder = new Array[Int](m)
     val edgeRank = new Array[Int](m)
     val trussNumber = new Array[Int](m)
+    val liveNb, liveEdge, hitIdx, hitPos = new Array[Int](g.maxDegree)
 
     /** Move edge f one support-bucket down (f must be alive, sup(f) > floor). */
     def decrement(f: Int): Unit = {
@@ -148,23 +142,26 @@ object TrussDecomposition {
       alive(cur) = false
       val u = g.edgeU(cur); val v = g.edgeV(cur)
       val (a, b) = if (g.degree(u) <= g.degree(v)) (u, v) else (v, u)
+      // The triangles (a, b, w) still alive: a's live neighbors w, with
+      // their edge ids, probed in b's list.
+      var cnt = 0
       var p = g.offsets(a)
-      val end = g.offsets(a + 1)
-      while (p < end) {
-        val w = g.adj(p)
-        if (w != b) {
-          val eAW = g.adjEdgeIds(p)
-          if (alive(eAW)) {
-            val eBW = g.edgeIdOf(b, w)
-            if (eBW >= 0 && alive(eBW)) {
-              // Triangle (a, b, w) dies with `cur`; decrement the survivors,
-              // clamped at the current level so peeled buckets stay intact.
-              if (sup(eAW) > level) decrement(eAW)
-              if (sup(eBW) > level) decrement(eBW)
-            }
-          }
-        }
+      while (p < g.offsets(a + 1)) {
+        if (alive(g.adjEdgeIds(p))) { liveNb(cnt) = g.adj(p); liveEdge(cnt) = g.adjEdgeIds(p); cnt += 1 }
         p += 1
+      }
+      val h = g.probe(b, liveNb, 0, cnt, hitIdx, hitPos)
+      var t = 0
+      while (t < h) {
+        val eAW = liveEdge(hitIdx(t))
+        val eBW = g.adjEdgeIds(hitPos(t))
+        if (alive(eBW)) {
+          // Triangle (a, b, w) dies with `cur`; decrement the survivors,
+          // clamped at the current level so peeled buckets stay intact.
+          if (sup(eAW) > level) decrement(eAW)
+          if (sup(eBW) > level) decrement(eBW)
+        }
+        t += 1
       }
       i += 1
     }

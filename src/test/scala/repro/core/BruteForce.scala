@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.graph.LocalGraph
+import repro.order.TrussDecomposition
 
 /** Deliberately naive k-clique reference used as the test oracle for the
   * kernels: adjacency-matrix backtracking in ascending id order, structured
@@ -29,4 +30,11 @@ object BruteForce {
   }
 
   def count(g: LocalGraph, k: Int): Long = list(g, k).size.toLong
+}
+
+/** The triangle count from the truss supports: every triangle is counted
+  * once at each of its three edges.
+  */
+object Triangles {
+  def count(g: LocalGraph): Long = TrussDecomposition.supports(g).map(_.toLong).sum / 3
 }

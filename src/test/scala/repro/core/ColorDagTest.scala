@@ -3,16 +3,15 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{GraphGen, LocalGraph, SubgraphBuilder}
 
-/** The shared position-space DAG builder: int and bitset rows agree, edges
-  * point forward, and the color order gives the invariants Rules (1a), (1b)
-  * and (2) rely on.
+/** The shared position-space DAG builder: its word rows equal a reference
+  * read off `hasEdge`, `fromBits` reads them as int rows, edges point
+  * forward, and the color order gives the invariants Rules (1a), (1b) and
+  * (2) rely on.
   */
 class ColorDagTest extends AnyFunSuite {
 
   private val graphs: Seq[LocalGraph] =
     Seq(GraphGen.gnp(40, 0.3, 1), GraphGen.gnp(70, 0.5, 2), GraphGen.gnp(130, 0.2, 3), GraphGen.complete(64))
-
-  private def adjLists(g: LocalGraph): Array[Array[Int]] = Array.tabulate(g.n)(g.neighborsOf)
 
   private def bitsOf(row: Array[Long]): Seq[Int] =
     for (q <- 0 until 64 * row.length if (row(q >>> 6) & (1L << (q & 63))) != 0) yield q
@@ -34,11 +33,50 @@ class ColorDagTest extends AnyFunSuite {
     dag
   }
 
+  /** The int-row reference of the word-row builder, read off `hasEdge`
+    * alone, on the subgraph of g induced on the ascending `verts` (local id
+    * i is `verts(i)`): induced degrees, first-fit colors in degree order and
+    * positions by `IntArrays.orderByKeyDesc`.
+    */
+  private object Reference {
+    private def adjacent(g: LocalGraph, verts: Array[Int], i: Int, j: Int): Boolean = g.hasEdge(verts(i), verts(j))
+
+    /** Local ids by induced degree descending, ties by id ascending. */
+    def degreeOrder(g: LocalGraph, verts: Array[Int]): Array[Int] = {
+      val s = verts.length
+      IntArrays.orderByKeyDesc(Array.tabulate(s)(i => (0 until s).count(adjacent(g, verts, i, _))), s)
+    }
+
+    /** (position -> local id, color of each local id): each vertex, in
+      * degree order, takes the smallest color none of its colored neighbors
+      * has; positions by color descending.
+      */
+    def colorOrder(g: LocalGraph, verts: Array[Int]): (Array[Int], Array[Int]) = {
+      val s = verts.length
+      val colors = new Array[Int](s)
+      for (i <- degreeOrder(g, verts)) {
+        val taken = (0 until s).filter(j => colors(j) > 0 && adjacent(g, verts, i, j)).map(colors).toSet
+        colors(i) = Iterator.from(1).find(!taken(_)).get
+      }
+      (IntArrays.orderByKeyDesc(colors, s), colors)
+    }
+
+    /** The DAG in `order`: out-rows of larger adjacent positions, colors
+      * (0 when `colors` is null) and outer ids by position.
+      */
+    def build(g: LocalGraph, verts: Array[Int], order: Array[Int], colors: Array[Int], outer: Array[Int]): ColorDag = {
+      val s = verts.length
+      val out = Array.tabulate(s)(p => (p + 1 until s).filter(q => adjacent(g, verts, order(p), order(q))).toArray)
+      val posColors = Array.tabulate(s)(p => if (colors == null) 0 else colors(order(p)))
+      new ColorDag(s, out, posColors, Array.tabulate(s)(p => outer(verts(order(p)))))
+    }
+  }
+
   /** Asserts that `bits` holds the rows, colors and outer ids of `dag`. */
   private def assertSameDag(bits: BitDag, dag: ColorDag): Unit = {
     assert(bits.s == dag.s && bits.words == (dag.s + 63) / 64)
-    if (dag.colors != null) assert(bits.colors.take(dag.s).sameElements(dag.colors))
-    assert(bits.toOuter.take(dag.s).sameElements(dag.toOuter))
+    assert(bits.colors.take(dag.s).sameElements(dag.colors.take(dag.s)))
+    assert(bits.toOuter.take(dag.s).sameElements(dag.toOuter.take(dag.s)))
     for (p <- 0 until dag.s) {
       assert(bitsOf(rowOf(bits.out, bits.words, p)) == dag.out(p).toSeq, s"out row $p")
       val in = (0 until p).filter(q => dag.out(q).contains(p))
@@ -53,11 +91,11 @@ class ColorDagTest extends AnyFunSuite {
 
   test("build and buildBits agree row for row") {
     for (g <- graphs) {
-      val adjL = adjLists(g)
-      val (order, colors) = ColorDag.colorOrder(adjL)
+      val verts = Array.tabulate(g.n)(identity)
+      val (order, colors) = Reference.colorOrder(g, verts)
       val outer = Array.tabulate(g.n)(v => 1000 + v)
-      val dag = ColorDag.build(adjL, order, colors, outer)
-      assertSameDag(wordDag(g, Array.tabulate(g.n)(identity), ColorDag.colorOrder, colored = true, outer), dag)
+      val dag = Reference.build(g, verts, order, colors, outer)
+      assertSameDag(wordDag(g, verts, ColorDag.colorOrder, colored = true, outer), dag)
     }
   }
 
@@ -69,11 +107,10 @@ class ColorDagTest extends AnyFunSuite {
       // host ids and outer ids all differ.
       val g = GraphGen.gnp(2 * s + 3, 0.4, s)
       val verts = Array.tabulate(s)(i => 2 * i + 1)
-      val adjL = Array.tabulate(s)(i => (0 until s).filter(j => g.hasEdge(verts(i), verts(j))).toArray)
       val outer = Array.tabulate(g.n)(v => 5000 + v)
       val (order, colors) = kind match {
-        case "color"    => ColorDag.colorOrder(adjL)
-        case "degree"   => (ColorDag.degreeOrder(adjL), null)
+        case "color"    => Reference.colorOrder(g, verts)
+        case "degree"   => (Reference.degreeOrder(g, verts), null)
         case "identity" => (Array.tabulate(s)(identity), null)
       }
       val wordOrder: BitDag => Array[Int] = kind match {
@@ -85,16 +122,25 @@ class ColorDagTest extends AnyFunSuite {
       assert(bits.order.take(s).sameElements(order), "order")
       if (colors != null) assert(bits.localColors.take(s).sameElements(colors), "colors")
       else assert(bits.colors.take(s).forall(_ == 0))
-      assertSameDag(bits, ColorDag.build(adjL, order, colors, Array.tabulate(s)(i => outer(verts(i)))))
+      assertSameDag(bits, Reference.build(g, verts, order, colors, outer))
+    }
+
+  for (s <- Seq(1, 64, 65, 129))
+    test(s"fromBits rows equal the word rows, s=$s") {
+      val g = GraphGen.gnp(2 * s + 3, 0.4, s)
+      val verts = Array.tabulate(s)(i => 2 * i + 1)
+      val bits = wordDag(g, verts, ColorDag.colorOrder, colored = true, Array.tabulate(g.n)(v => 5000 + v))
+      val dag = ColorDag.fromBits(bits)
+      assert(dag.s == s && (dag.colors eq bits.colors) && (dag.toOuter eq bits.toOuter))
+      for (p <- 0 until s) assert(dag.out(p).toSeq == bitsOf(rowOf(bits.out, bits.words, p)), s"out row $p")
     }
 
   test("positions relabel the graph and every out edge points to a larger position") {
     for (g <- graphs) {
-      val adjL = adjLists(g)
-      val order = ColorDag.degreeOrder(adjL)
-      val dag = ColorDag.build(adjL, order, null, Array.tabulate(g.n)(identity))
-      assert(dag.colors == null)
-      assert(dag.toOuter.sameElements(order))
+      val bits = wordDag(g, Array.tabulate(g.n)(identity), ColorDag.degreeOrder, colored = false, null)
+      val dag = ColorDag.fromBits(bits)
+      assert(dag.colors.take(dag.s).forall(_ == 0))
+      assert(dag.toOuter.take(dag.s).sameElements(bits.order.take(dag.s)))
       for (p <- 0 until dag.s) {
         assert(dag.out(p).forall(_ > p))
         assert(dag.out(p).toSeq == dag.out(p).distinct.sorted.toSeq)
@@ -106,10 +152,9 @@ class ColorDagTest extends AnyFunSuite {
 
   test("colorOrder colors properly and colors never increase with position") {
     for (g <- graphs) {
-      val adjL = adjLists(g)
-      val (order, colors) = ColorDag.colorOrder(adjL)
-      assert(order.sorted.sameElements(0 until g.n))
-      val dag = ColorDag.build(adjL, order, colors, Array.tabulate(g.n)(identity))
+      val bits = wordDag(g, Array.tabulate(g.n)(identity), ColorDag.colorOrder, colored = true, null)
+      assert(bits.order.take(g.n).sorted.sameElements(0 until g.n))
+      val dag = ColorDag.fromBits(bits)
       for (p <- 0 until dag.s; q <- dag.out(p)) assert(dag.colors(p) != dag.colors(q), s"edge $p-$q")
       for (p <- 1 until dag.s) assert(dag.colors(p - 1) >= dag.colors(p), s"position $p")
     }
@@ -126,14 +171,12 @@ class ColorDagTest extends AnyFunSuite {
     }
     val rnd = new scala.util.Random(17)
     for (g <- Seq(GraphGen.gnp(40, 0.3, 4), GraphGen.gnp(60, 0.5, 5))) {
-      val adjL = adjLists(g)
-      val (order, colors) = ColorDag.colorOrder(adjL)
       val outer = Array.tabulate(g.n)(v => 1000 + v)
-      val dag = ColorDag.build(adjL, order, colors, outer)
       val bits = wordDag(g, Array.tabulate(g.n)(identity), ColorDag.colorOrder, colored = true, outer)
+      val dag = ColorDag.fromBits(bits)
       assertSameDag(bits, dag)
       assert(bits.words == 1)
-      val numColors = dag.colors.distinct.length
+      val numColors = dag.colors.take(dag.s).distinct.length
       val full = -1L >>> (64 - dag.s)
       for (i <- 0 until 200) {
         // The empty and full sets, then random ones of about s/2 and s/4 members.

@@ -162,7 +162,7 @@ class KernelEdgeCaseTest extends AnyFunSuite {
 
   test("k = 3 equals triangle count from truss supports") {
     val g = GraphGen.powerLaw(200, 900, 1.5, 8)
-    val triangles = repro.order.TrussDecomposition.triangleCount(g)
+    val triangles = Triangles.count(g)
     for (cfg <- Seq[AlgoConfig](Algos.EBBkCET, Algos.Degen, Algos.SDegree))
       assert(KClique.count(g, 3, cfg) == triangles)
   }

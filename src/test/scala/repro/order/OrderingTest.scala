@@ -94,7 +94,7 @@ class TrussDecompositionTest extends AnyFunSuite {
 
   test("triangleCount matches brute force") {
     val g = GraphGen.gnp(35, 0.3, 8)
-    assert(TrussDecomposition.triangleCount(g) == repro.core.BruteForce.count(g, 3))
+    assert(repro.core.Triangles.count(g) == repro.core.BruteForce.count(g, 3))
   }
 
   test("Lemma 4.1: tau < delta on assorted graphs") {
@@ -175,24 +175,23 @@ class ColoringTest extends AnyFunSuite {
   test("inverse-degeneracy coloring uses at most delta + 1 colors") {
     val g = GraphGen.powerLaw(300, 1500, 1.5, 3)
     val colors = Coloring.inverseDegeneracy(g)
-    assert(Coloring.numColors(colors) <= CoreDecomposition.run(g).degeneracy + 1)
+    assert(colors.max <= CoreDecomposition.run(g).degeneracy + 1)
   }
 
   test("complete graph needs exactly n colors; bipartite exactly 2") {
-    assert(Coloring.numColors(Coloring.inverseDegeneracy(GraphGen.complete(6))) == 6)
-    assert(Coloring.numColors(Coloring.inverseDegeneracy(GraphGen.completeBipartite(4, 4))) == 2)
+    assert(Coloring.inverseDegeneracy(GraphGen.complete(6)).max == 6)
+    assert(Coloring.inverseDegeneracy(GraphGen.completeBipartite(4, 4)).max == 2)
   }
 
-  test("greedyLocal is proper and agrees with global on identity adjacency") {
+  test("inverseDegeneracy is proper first fit in reverse degeneracy order") {
     val g = GraphGen.gnp(40, 0.25, 6)
-    val adjL = Array.tabulate(g.n)(g.neighborsOf)
-    val order = Array.tabulate(g.n)(identity)
-    val colors = Coloring.greedyLocal(adjL, order)
+    val colors = Coloring.inverseDegeneracy(g)
     assertProper(g, colors)
     // First fit read off the global graph: each vertex takes the smallest
-    // color that none of its smaller neighbors has.
+    // color that none of its neighbors later in the degeneracy order has.
+    val rank = CoreDecomposition.run(g).rank
     for (v <- 0 until g.n) {
-      val taken = (0 until v).filter(g.hasEdge(_, v)).map(colors).toSet
+      val taken = (0 until g.n).filter(u => rank(u) > rank(v) && g.hasEdge(u, v)).map(colors).toSet
       assert(colors(v) == Iterator.from(1).find(!taken(_)).get, s"vertex $v")
     }
   }
