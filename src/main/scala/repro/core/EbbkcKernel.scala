@@ -1,14 +1,15 @@
 package repro.core
 
 import repro.graph.{LocalGraph, SubgraphBuilder}
-import repro.order.{Coloring, TrussDecomposition, TrussResult}
+import repro.order.{Coloring, TrussDecomposition}
 
 /** Prepared state for the edge-oriented branching framework EBBkC
   * (Algorithms 2–5 of the paper).
   *
   * For the truss-based and hybrid orderings this holds the truss peel ranks
-  * (pi_tau). For the color-based ordering `g` is the input graph relabeled
-  * into color-position space, as [[VbbkcPrep]] relabels into degeneracy-rank
+  * (pi_tau) and `cut`, the first rank whose truss number is at least k.
+  * For the color-based ordering `g` is the input graph relabeled into
+  * color-position space, as [[VbbkcPrep]] relabels into degeneracy-rank
   * space: vertex p is the p-th vertex by global color descending, so a
   * vertex's out-neighbors (larger positions) are the suffix of its sorted
   * list and `colors` is non-increasing with position. One subproblem = one
@@ -18,7 +19,8 @@ final class EbbkcPrep(
     val g: LocalGraph,
     val k: Int,
     val cfg: EbbkcAlgo,
-    val truss: TrussResult, // null iff ColorOrdering
+    val rank: Array[Int], // edge id -> pi_tau rank; null iff ColorOrdering
+    val cut: Int, // truss orderings: #edges of truss number < k
     val colors: Array[Int], // ColorOrdering: color of each position; else null
     val toOuter: Array[Int], // ColorOrdering: position -> input vertex id; else null
     val etT: Int // resolved early-termination threshold, 0 = off
@@ -26,7 +28,7 @@ final class EbbkcPrep(
   require(k >= 3, "k-clique listing starts at k = 3")
   override def numSubproblems: Int = g.m
   override def newKernel(): SubproblemKernel = new EbbkcKernel(this)
-  override def approxBytes: Long = g.approxBytes + (if (truss != null) 4L * (3 * g.m + 1) else 8L * g.n)
+  override def approxBytes: Long = g.approxBytes + (if (rank != null) 4L * g.m else 8L * g.n)
 }
 
 object EbbkcPrep {
@@ -34,11 +36,12 @@ object EbbkcPrep {
   def build(g: LocalGraph, k: Int, cfg: EbbkcAlgo): EbbkcPrep = cfg.ordering match {
     case TrussOrdering | HybridOrdering =>
       val truss = TrussDecomposition.run(g)
-      new EbbkcPrep(g, k, cfg, truss, null, null, cfg.et.threshold(k, Some(truss.tau)))
+      new EbbkcPrep(g, k, cfg, truss.edgeRank, truss.trussNumber.count(_ < k), null, null,
+        cfg.et.threshold(k, Some(truss.tau)))
     case ColorOrdering =>
       val colors = Coloring.inverseDegeneracy(g)
       val order = IntArrays.orderByKeyDesc(colors, g.n)
-      new EbbkcPrep(g.relabel(ColorDag.positionsOf(order)), k, cfg, null, order.map(colors(_)), order,
+      new EbbkcPrep(g.relabel(ColorDag.positionsOf(order)), k, cfg, null, 0, order.map(colors(_)), order,
         cfg.et.threshold(k, None))
   }
 }
@@ -70,7 +73,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   private val cfg = prep.cfg
   private val rule2 = cfg.rule2
   private val etT = prep.etT
-  private val rank: Array[Int] = if (prep.truss != null) prep.truss.edgeRank else null
+  private val rank = prep.rank
 
   private val stack = new Array[Int](k)
   private val sub = new SubgraphBuilder(g)
@@ -113,13 +116,13 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
 
   private def runTrussSub(e: Int, sink: CliqueSink): Unit = {
     val l0 = k - 2
-    // O(1) size prune: the suffix common-neighbor count of e is bounded by
-    // its truss number - 2, so low-truss edges cannot host a k-clique. Near
-    // omega this kills almost every top-level branch before any merge — the
-    // paper's "number of promising branches" effect (Section 6.2(1)).
-    if (prep.truss.trussNumber(e) - 2 < l0) return
-    val u = g.edgeU(e); val v = g.edgeV(e)
+    // O(1) size prune: e has at most trussNumber(e) - 2 suffix common
+    // neighbors, and truss numbers never decrease along pi_tau. Near omega
+    // this kills almost every top-level branch before any merge: m - cut
+    // remain, the paper's "number of promising branches" (Section 6.2(1)).
     val r = rank(e)
+    if (r < prep.cut) return
+    val u = g.edgeU(e); val v = g.edgeV(e)
 
     // VSet(e): common neighbors reachable through strictly later-ranked
     // edges. The probe gallops over both lists, so it costs about the

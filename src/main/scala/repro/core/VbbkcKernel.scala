@@ -13,7 +13,7 @@ import repro.order.CoreDecomposition
 final class VbbkcPrep(
     val gRel: LocalGraph,
     val toGlobal: Array[Int], // rank-space id -> original vertex id
-    val coreness: Array[Int], // rank-space coreness (bounds out-degree)
+    val cut: Int, // first rank of coreness >= k - 1; coreness never decreases along the peel
     val k: Int,
     val cfg: VbbkcAlgo,
     val etT: Int
@@ -28,8 +28,7 @@ object VbbkcPrep {
   def build(g: LocalGraph, k: Int, cfg: VbbkcAlgo): VbbkcPrep = {
     val core = CoreDecomposition.run(g)
     val gRel = g.relabel(core.rank)
-    val coreness = Array.tabulate(g.n)(r => core.coreness(core.order(r)))
-    new VbbkcPrep(gRel, core.order, coreness, k, cfg, cfg.et.threshold(k, None))
+    new VbbkcPrep(gRel, core.order, core.coreness.count(_ < k - 1), k, cfg, cfg.et.threshold(k, None))
   }
 }
 
@@ -69,8 +68,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
     if (cfg.edgeParallel) runEdgeSub(subId, sink) else runVertexSub(subId, sink)
 
   private def runVertexSub(v: Int, sink: CliqueSink): Unit = {
-    // O(1) prune: out-degree in the degeneracy DAG is bounded by coreness.
-    if (prep.coreness(v) < k - 1) return
+    if (v < prep.cut) return // O(1) prune: out-degree <= coreness < k - 1
     val from = g.outStart(v)
     val s = g.offsets(v + 1) - from
     if (s < k - 1) return
@@ -85,6 +83,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
     */
   private def runEdgeSub(e: Int, sink: CliqueSink): Unit = {
     val u = g.edgeU(e); val v = g.edgeV(e) // u < v in rank space
+    if (u < prep.cut) return // O(1) prune: the candidates are out-neighbors of u
     val s = g.probe(u, g.adj, g.outStart(v), g.offsets(v + 1), hitIdx, hitPos)
     if (s < k - 2) return
     var i = 0

@@ -65,9 +65,6 @@ final class LocalGraph private (
     h
   }
 
-  /** Fresh copy of `v`'s sorted neighbor list. */
-  def neighborsOf(v: Int): Array[Int] = Arrays.copyOfRange(adj, offsets(v), offsets(v + 1))
-
   lazy val maxDegree: Int = {
     var best = 0; var v = 0
     while (v < n) { val d = degree(v); if (d > best) best = d; v += 1 }

@@ -25,60 +25,25 @@ final case class DegeneracyResult(
 object CoreDecomposition {
 
   def run(g: LocalGraph): DegeneracyResult = {
-    val n = g.n
-    val deg = new Array[Int](n)
-    var v = 0
-    var maxDeg = 0
-    while (v < n) { deg(v) = g.degree(v); if (deg(v) > maxDeg) maxDeg = deg(v); v += 1 }
-
-    // Counting-sort vertices by degree into `vert`, with `pos` the inverse
-    // permutation and `bin(d)` the start index of degree-d's bucket.
-    val bin = new Array[Int](maxDeg + 2)
-    v = 0
-    while (v < n) { bin(deg(v)) += 1; v += 1 }
-    var start = 0
-    var d = 0
-    while (d <= maxDeg) { val c = bin(d); bin(d) = start; start += c; d += 1 }
-    val vert = new Array[Int](n)
-    val pos = new Array[Int](n)
-    v = 0
-    while (v < n) { pos(v) = bin(deg(v)); vert(pos(v)) = v; bin(deg(v)) += 1; v += 1 }
-    d = maxDeg
-    while (d >= 1) { bin(d) = bin(d - 1); d -= 1 }
-    bin(0) = 0
-
-    val order = new Array[Int](n)
-    val rank = new Array[Int](n)
-    val coreness = new Array[Int](n)
+    val deg = Array.tabulate(g.n)(g.degree)
+    val q = new BucketPeel(deg)
+    val coreness = new Array[Int](g.n)
     var level = 0
     var i = 0
-    while (i < n) {
-      val u = vert(i)
+    while (i < g.n) {
+      val u = q.order(i)
       if (deg(u) > level) level = deg(u)
       coreness(u) = level
-      order(i) = u
-      rank(u) = i
       // Decrement still-unpeeled neighbors, repositioning them one bucket down.
       var p = g.offsets(u)
       val end = g.offsets(u + 1)
       while (p < end) {
         val w = g.adj(p)
-        if (pos(w) > i && deg(w) > deg(u)) {
-          val dw = deg(w)
-          val pw = pos(w)
-          val pFirst = bin(dw)
-          val wFirst = vert(pFirst)
-          if (w != wFirst) {
-            pos(w) = pFirst; vert(pw) = wFirst
-            pos(wFirst) = pw; vert(pFirst) = w
-          }
-          bin(dw) += 1
-          deg(w) = dw - 1
-        }
+        if (q.pos(w) > i && deg(w) > deg(u)) q.decrement(w)
         p += 1
       }
       i += 1
     }
-    DegeneracyResult(order, rank, coreness, level)
+    DegeneracyResult(q.order, q.pos, coreness, level)
   }
 }

@@ -89,57 +89,17 @@ object TrussDecomposition {
   }
 
   def run(g: LocalGraph): TrussResult = {
-    val m = g.m
     val sup = supports(g)
-    var maxSup = 0
-    var e = 0
-    while (e < m) { if (sup(e) > maxSup) maxSup = sup(e); e += 1 }
-
-    // Bucket queue over support values, mirroring the core-peeling layout.
-    val bin = new Array[Int](maxSup + 2)
-    e = 0
-    while (e < m) { bin(sup(e)) += 1; e += 1 }
-    var start = 0
-    var s = 0
-    while (s <= maxSup) { val c = bin(s); bin(s) = start; start += c; s += 1 }
-    val edgesSorted = new Array[Int](m)
-    val pos = new Array[Int](m)
-    e = 0
-    while (e < m) { pos(e) = bin(sup(e)); edgesSorted(pos(e)) = e; bin(sup(e)) += 1; e += 1 }
-    s = maxSup
-    while (s >= 1) { bin(s) = bin(s - 1); s -= 1 }
-    bin(0) = 0
-
-    val alive = new Array[Boolean](m)
-    java.util.Arrays.fill(alive, true)
-    val edgeOrder = new Array[Int](m)
-    val edgeRank = new Array[Int](m)
-    val trussNumber = new Array[Int](m)
+    val q = new BucketPeel(sup)
+    val trussNumber = new Array[Int](g.m)
     val liveNb, liveEdge, hitIdx, hitPos = new Array[Int](g.maxDegree)
-
-    /** Move edge f one support-bucket down (f must be alive, sup(f) > floor). */
-    def decrement(f: Int): Unit = {
-      val sf = sup(f)
-      val pf = pos(f)
-      val pFirst = bin(sf)
-      val fFirst = edgesSorted(pFirst)
-      if (f != fFirst) {
-        pos(f) = pFirst; edgesSorted(pf) = fFirst
-        pos(fFirst) = pf; edgesSorted(pFirst) = f
-      }
-      bin(sf) += 1
-      sup(f) = sf - 1
-    }
-
     var level = 0
     var i = 0
-    while (i < m) {
-      val cur = edgesSorted(i)
+    // An edge is alive, not yet peeled, iff its peel position is past i.
+    while (i < g.m) {
+      val cur = q.order(i)
       if (sup(cur) > level) level = sup(cur)
       trussNumber(cur) = level + 2
-      edgeOrder(i) = cur
-      edgeRank(cur) = i
-      alive(cur) = false
       val u = g.edgeU(cur); val v = g.edgeV(cur)
       val (a, b) = if (g.degree(u) <= g.degree(v)) (u, v) else (v, u)
       // The triangles (a, b, w) still alive: a's live neighbors w, with
@@ -147,7 +107,7 @@ object TrussDecomposition {
       var cnt = 0
       var p = g.offsets(a)
       while (p < g.offsets(a + 1)) {
-        if (alive(g.adjEdgeIds(p))) { liveNb(cnt) = g.adj(p); liveEdge(cnt) = g.adjEdgeIds(p); cnt += 1 }
+        if (q.pos(g.adjEdgeIds(p)) > i) { liveNb(cnt) = g.adj(p); liveEdge(cnt) = g.adjEdgeIds(p); cnt += 1 }
         p += 1
       }
       val h = g.probe(b, liveNb, 0, cnt, hitIdx, hitPos)
@@ -155,16 +115,16 @@ object TrussDecomposition {
       while (t < h) {
         val eAW = liveEdge(hitIdx(t))
         val eBW = g.adjEdgeIds(hitPos(t))
-        if (alive(eBW)) {
+        if (q.pos(eBW) > i) {
           // Triangle (a, b, w) dies with `cur`; decrement the survivors,
           // clamped at the current level so peeled buckets stay intact.
-          if (sup(eAW) > level) decrement(eAW)
-          if (sup(eBW) > level) decrement(eBW)
+          if (sup(eAW) > level) q.decrement(eAW)
+          if (sup(eBW) > level) q.decrement(eBW)
         }
         t += 1
       }
       i += 1
     }
-    TrussResult(edgeOrder, edgeRank, trussNumber, level)
+    TrussResult(q.order, q.pos, trussNumber, level)
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, LocalGraph, SynthGraphs}
+import repro.graph.{GraphGen, LocalGraph, SynthGraphs, TestGraphs}
 
 /** Cross-checks every kernel variant against the brute-force reference on a
   * shared set of small graphs — both counts and the exact clique sets.
@@ -130,6 +130,26 @@ class KernelListTest extends AnyFunSuite {
       assert(got.size == listed.size, "duplicate cliques emitted")
       assert(got == want,
         s"missing=${(want -- got).take(3)} extra=${(got -- want).take(3)}")
+    }
+}
+
+/** The O(1) top-level prunes are rank cutoffs: truss numbers and coreness
+  * never decrease along their peels.
+  */
+class PrepCutTest extends AnyFunSuite {
+  import KernelFixtures.graphs
+
+  for ((name, g) <- graphs)
+    test(s"EBBkC and VBBkC cutoffs count the low-truss edges and low-core vertices on $name") {
+      val truss = repro.order.TrussDecomposition.run(g)
+      val core = repro.order.CoreDecomposition.run(g)
+      for (k <- 3 to 12) {
+        val e = EbbkcPrep.build(g, k, Algos.EBBkCET)
+        assert(e.cut == truss.trussNumber.count(_ < k), s"k=$k")
+        assert((0 until g.m).forall(f => e.rank(f) < e.cut || truss.trussNumber(f) >= k), s"k=$k")
+        if (k > truss.tau + 2) assert(e.cut == g.m, s"k=$k")
+        assert(VbbkcPrep.build(g, k, Algos.BitCol).cut == core.coreness.count(_ < k - 1), s"k=$k")
+      }
     }
 }
 
@@ -344,7 +364,7 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     // |VSet(e)|: common neighbors through strictly later-ranked edges (Eq. 5).
     val sizes = (0 until g.m).map { e =>
       val u = g.edgeU(e); val v = g.edgeV(e)
-      g.neighborsOf(u).count { w =>
+      TestGraphs.neighborsOf(g, u).count { w =>
         val ea = g.edgeIdOf(u, w); val eb = g.edgeIdOf(v, w)
         eb >= 0 && rank(ea) > rank(e) && rank(eb) > rank(e)
       }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.graph.{GraphDF, GraphGen, LocalGraph}
+import repro.graph.{GraphDF, GraphGen, LocalGraph, TestGraphs}
 
 /** Pure-Catalyst clique listing vs the DuckDB oracle and the kernels. */
 class CliqueDFTest extends SparkSpec {
@@ -81,7 +81,7 @@ class KCliqueSparkTest extends SparkSpec {
     }
 
   test("distributed count on a Spark-generated zipf graph matches brute force") {
-    val edges = GraphDF.zipfEdges(spark, 200, 900, 1.4, seed = 42)
+    val edges = TestGraphs.zipfEdges(spark, 200, 900, 1.4, seed = 42)
     val g = GraphDF.toLocal(edges).graph
     for (k <- 3 to 5)
       assert(KCliqueSpark.count(spark, edges, k, Algos.EBBkCET) == BruteForce.count(g, k))

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.graph.{GraphDF, GraphGen}
+import repro.graph.{GraphDF, GraphGen, TestGraphs}
 
 /** DataFrame graph plumbing: canonicalization, generators, local round-trips. */
 class GraphDFTest extends SparkSpec {
@@ -10,7 +10,7 @@ class GraphDFTest extends SparkSpec {
 
   test("canonicalize dedupes reversed duplicates and drops loops") {
     val raw = Seq((1L, 2L), (2L, 1L), (3L, 3L), (2L, 3L), (2L, 3L)).toDF("src", "dst")
-    val e = GraphDF.canonicalize(raw).as[(Long, Long)].collect().sorted.toSeq
+    val e = TestGraphs.canonicalize(raw).as[(Long, Long)].collect().sorted.toSeq
     assert(e == Seq((1L, 2L), (2L, 3L)))
   }
 
@@ -39,7 +39,7 @@ class GraphDFTest extends SparkSpec {
       (-9L, 2L), (2L, -9L), (-9L, -5L), (Long.MinValue, 1L)
     ).toDF("src", "dst")
     val got = GraphDF.toLocal(raw)
-    val want = GraphDF.toLocal(GraphDF.canonicalize(raw))
+    val want = GraphDF.toLocal(TestGraphs.canonicalize(raw))
     assert(got.origIds.toSeq == want.origIds.toSeq)
     assert(got.origIds.toSeq == Seq(Long.MinValue, -9L, -5L, 1L, 2L, big - 1, big))
     assert(!got.origIds.contains(7L))
@@ -52,7 +52,7 @@ class GraphDFTest extends SparkSpec {
 
   test("stats match the local graph") {
     val g = GraphGen.powerLaw(150, 600, 1.5, seed = 2)
-    val (n, m, maxDeg) = GraphDF.stats(GraphDF.fromLocal(spark, g))
+    val (n, m, maxDeg) = TestGraphs.stats(GraphDF.fromLocal(spark, g))
     assert(m == g.m)
     assert(maxDeg == g.maxDegree)
     assert(n == (0 until g.n).count(g.degree(_) > 0))
@@ -60,19 +60,19 @@ class GraphDFTest extends SparkSpec {
 
   test("zipf and uniform edge generators are canonical and deterministic") {
     for (df <- Seq(
-        GraphDF.zipfEdges(spark, 500, 2000, 1.5, seed = 3),
-        GraphDF.uniformEdges(spark, 500, 2000, seed = 4))) {
+        TestGraphs.zipfEdges(spark, 500, 2000, 1.5, seed = 3),
+        TestGraphs.uniformEdges(spark, 500, 2000, seed = 4))) {
       val rows = df.as[(Long, Long)].collect()
       assert(rows.forall { case (s, d) => s < d })
       assert(rows.distinct.length == rows.length)
     }
-    val a = GraphDF.zipfEdges(spark, 300, 1000, 1.4, seed = 9).as[(Long, Long)].collect().sorted.toSeq
-    val b = GraphDF.zipfEdges(spark, 300, 1000, 1.4, seed = 9).as[(Long, Long)].collect().sorted.toSeq
+    val a = TestGraphs.zipfEdges(spark, 300, 1000, 1.4, seed = 9).as[(Long, Long)].collect().sorted.toSeq
+    val b = TestGraphs.zipfEdges(spark, 300, 1000, 1.4, seed = 9).as[(Long, Long)].collect().sorted.toSeq
     assert(a == b)
   }
 
   test("oracle agrees on degree distribution of a generated edge table") {
-    val edges = GraphDF.uniformEdges(spark, 200, 800, seed = 5)
+    val edges = TestGraphs.uniformEdges(spark, 200, 800, seed = 5)
     val degs = edges.select($"src".as("v")).unionAll(edges.select($"dst".as("v")))
       .groupBy("v").agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(

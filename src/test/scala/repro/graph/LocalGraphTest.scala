@@ -35,7 +35,7 @@ class LocalGraphTest extends AnyFunSuite {
   test("neighbor lists are sorted") {
     val g = GraphGen.gnm(50, 200, seed = 1)
     for (v <- 0 until g.n) {
-      val nb = g.neighborsOf(v)
+      val nb = TestGraphs.neighborsOf(g, v)
       assert(nb.toSeq == nb.toSeq.sorted, s"unsorted adjacency at $v")
       assert(nb.distinct.length == nb.length)
     }

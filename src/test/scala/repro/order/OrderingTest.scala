@@ -1,7 +1,7 @@
 package repro.order
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{GraphGen, LocalGraph, SynthGraphs, TestGraphs}
 
 class CoreDecompositionTest extends AnyFunSuite {
 
@@ -36,7 +36,7 @@ class CoreDecompositionTest extends AnyFunSuite {
     val g = GraphGen.powerLaw(400, 2500, 1.4, 4)
     val r = CoreDecomposition.run(g)
     for (v <- 0 until g.n) {
-      val later = g.neighborsOf(v).count(w => r.rank(w) > r.rank(v))
+      val later = TestGraphs.neighborsOf(g, v).count(w => r.rank(w) > r.rank(v))
       assert(later <= r.degeneracy, s"vertex $v has $later later neighbors > ${r.degeneracy}")
     }
   }
@@ -55,7 +55,7 @@ class CoreDecompositionTest extends AnyFunSuite {
     val r = CoreDecomposition.run(g)
     for (v <- 0 until g.n) {
       val c = r.coreness(v)
-      val strong = g.neighborsOf(v).count(w => r.coreness(w) >= c)
+      val strong = TestGraphs.neighborsOf(g, v).count(w => r.coreness(w) >= c)
       assert(strong >= c, s"vertex $v coreness $c but only $strong strong neighbors")
     }
   }
@@ -157,6 +157,69 @@ class TrussDecompositionTest extends AnyFunSuite {
     val tau = TrussDecomposition.run(g).tau
     val omega = MaxClique.omega(g)
     assert(tau >= omega - 2)
+  }
+}
+
+/** The truss and core peels of the WK, PO and ST stand-ins, pinned as
+  * `java.util.Arrays.hashCode` of each output array: a change to the shared
+  * bucket queue that reorders any tie shows here.
+  */
+class PeelPinTest extends AnyFunSuite {
+  private def h(a: Array[Int]): Int = java.util.Arrays.hashCode(a)
+
+  // (edgeOrder, edgeRank, trussNumber, tau, order, rank, coreness, degeneracy)
+  private val pinned = Seq(
+    "WK" -> Seq(-1395678573, 1149948243, -2144011469, 54, 590313437, 659335761, 800049806, 98),
+    "PO" -> Seq(-1257700503, 1326087049, 842137973, 54, -1433039047, -972894879, 834269093, 97),
+    "ST" -> Seq(-1832781204, 1668051912, -404944478, 27, 1721365697, -1571140243, 848381687, 55))
+
+  for ((name, want) <- pinned)
+    test(s"truss and core peels of the $name stand-in match their pinned hashes") {
+      val g = SynthGraphs(name)
+      val t = TrussDecomposition.run(g)
+      val c = CoreDecomposition.run(g)
+      assert(Seq(h(t.edgeOrder), h(t.edgeRank), h(t.trussNumber), t.tau,
+        h(c.order), h(c.rank), h(c.coreness), c.degeneracy) == want)
+    }
+}
+
+class BucketPeelTest extends AnyFunSuite {
+
+  /** `order` sorted by key, ties by item ascending, and `pos` its inverse. */
+  private def assertSorted(key: Array[Int]): Unit = {
+    val q = new BucketPeel(key.clone())
+    assert(q.order.toSeq == key.indices.sortBy(x => (key(x), x)))
+    assert(key.indices.forall(x => q.order(q.pos(x)) == x))
+  }
+
+  test("order is sorted by key with ties by item, pos its inverse") {
+    val rnd = new scala.util.Random(17)
+    for (n <- Seq(1, 2, 10, 100, 1000); maxKey <- Seq(0, 3, 50)) assertSorted(Array.fill(n)(rnd.nextInt(maxKey + 1)))
+    assertSorted(Array.fill(40)(7))
+    assertSorted(Array.emptyIntArray)
+  }
+
+  test("decrement moves an item one bucket down and keeps order sorted") {
+    val rnd = new scala.util.Random(23)
+    val key = Array.fill(200)(rnd.nextInt(20))
+    val q = new BucketPeel(key)
+    // Peel like the core decomposition: visit position i, then lower a few
+    // random keys above its key among the items past i.
+    for (i <- key.indices) {
+      val level = key(q.order(i))
+      val visited = q.order.take(i + 1).toSeq
+      for (_ <- 0 until 5 if i + 1 < key.length) {
+        val x = q.order(i + 1 + rnd.nextInt(key.length - i - 1))
+        if (key(x) > level) {
+          val before = key(x)
+          q.decrement(x)
+          assert(key(x) == before - 1 && q.pos(x) > i)
+        }
+      }
+      assert(q.order.take(i + 1).toSeq == visited)
+      assert((0 until key.length - 1).forall(p => key(q.order(p)) <= key(q.order(p + 1))), s"after $i")
+      assert(key.indices.forall(x => q.order(q.pos(x)) == x))
+    }
   }
 }
 
