@@ -4,14 +4,16 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.util.Timer
 
-/** Times the multi-word bitset recursions, which no stand-in reaches: every
-  * WK and PO branch graph has at most tau = 54 vertices, one word. On the
-  * mixed-width fixture (a complete tripartite core, tau >= 65) the first
-  * EBBkC branch graphs and the VBBkC subproblems span two words and the
-  * rest one; DDegree and DDegCol build those subproblems as word rows too
-  * and read them back as int rows. Each cell repeats its count for at least
-  * 2 s, as kcbench's warm-up does, then takes the median of 15 serial
-  * counts; the counts must agree per k.
+/** Times the multi-word bitset paths, which no EBBkC branch graph of a
+  * stand-in reaches: every WK and PO branch graph has at most tau = 54
+  * vertices, one word. On the mixed-width fixture (a complete tripartite
+  * core, tau >= 65) the first EBBkC branch graphs and the VBBkC subproblems
+  * span two words and the rest one. EBBkC-H/C and BitCol run them on the
+  * same word-row recursion, `DagBranch` (two vertex steps per edge branch,
+  * or one); EBBkC-T on its own per-depth rows; DDegree and DDegCol build
+  * those subproblems as word rows too and read them back as int rows. Each
+  * cell repeats its count for at least 2 s, as kcbench's warm-up does, then
+  * takes the median of 15 serial counts; the counts must agree per k.
   */
 class WidthBench extends AnyFunSuite {
 

@@ -9,9 +9,10 @@ import repro.graph.SubgraphBuilder
   * the int-row form the array VBBkC baselines recurse on, read off a
   * [[BitDag]] by [[ColorDag.fromBits]].
   *
-  * Besides the rows, the DAG owns the l = 1 / l = 2 base cases of every
-  * recursion over it. Each writes the clique's last vertices into `stack`
-  * from `sp` on, mapped through `toOuter`.
+  * Besides the rows, the DAG owns the l = 2 base case of every recursion
+  * over it; the l = 1 base case is [[BitDag.emitSingles]] over an id list.
+  * Each writes the clique's last vertices into `stack` from `sp` on, mapped
+  * through `toOuter`.
   *
   * @param out      out-neighbors (larger positions), sorted ascending
   * @param colors   color of each position; 0 for orders without colors
@@ -42,14 +43,6 @@ final class ColorDag(
     }
     seen >= need
   }
-
-  /** The l = 1 base case: every position of `c` completes a clique. */
-  def emitSingles(c: Array[Int], stack: Array[Int], sp: Int, sink: CliqueSink): Unit =
-    if (!sink.wantsCliques) sink.onCount(c.length)
-    else {
-      var i = 0
-      while (i < c.length) { stack(sp) = toOuter(c(i)); sink.onClique(stack, sp + 1); i += 1 }
-    }
 
   /** The number of DAG edges inside `c`: the l = 2 leaf count. */
   def pairsIn(c: Array[Int]): Long = {
@@ -170,7 +163,7 @@ final class BitDag {
       c: Array[Long], cnt: Int, l: Int, t: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Boolean =
     t > 0 && l >= 3 && PlexListers.tryEarlyTerminate(stack, sp, c, cnt, und, words, toOuter, l, t, sink)
 
-  /** [[ColorDag#emitSingles]] for the bitset `c` of `cnt` positions. */
+  /** The l = 1 base case on the bitset `c` of `cnt` positions. */
   def emitSingles(c: Array[Long], cnt: Int, stack: Array[Int], sp: Int, sink: CliqueSink): Unit =
     BitDag.emitSingles(c, cnt, words, toOuter, stack, sp, sink)
 
@@ -253,10 +246,95 @@ object BitDag {
     }
   }
 
+  /** The l = 1 base case on the first `n` ids of the list `ids`: each
+    * completes a clique, emitted through `outer` when that is non-null.
+    */
+  def emitSingles(ids: Array[Int], n: Int, outer: Array[Int], stack: Array[Int], sp: Int, sink: CliqueSink): Unit =
+    if (!sink.wantsCliques) sink.onCount(n)
+    else {
+      var i = 0
+      while (i < n) {
+        stack(sp) = if (outer == null) ids(i) else outer(ids(i))
+        sink.onClique(stack, sp + 1)
+        i += 1
+      }
+    }
+
   /** Sets the first `(n + 63) / 64` words of `row` to the full set `0 until n`. */
   def fillAll(row: Array[Long], n: Int): Unit = {
     var i = 0
     while (i < ((n + 63) >>> 6)) { row(i) = if (i < (n >>> 6)) -1L else (1L << (n & 63)) - 1; i += 1 }
+  }
+}
+
+/** The word-row color-DAG recursion over `dag` (Algorithm 1 on bitset
+  * candidate sets) of the SDegree/BitCol baselines (`stride` 1) and of
+  * EBBkC-H/C's DAGs of more than 64 vertices (`stride` 2): an edge branch
+  * (u -> v) of Algorithms 4/5 is u's step, then v's, each under Rule (1).
+  * ET and Rule (2) run only at stack depths that are multiples of `stride`.
+  * `colored` stops each step at the first member of color below l. A
+  * counting node at l = 3 sums its children's pairs in place; a color-1
+  * vertex has no out-neighbors, so EBBkC's l = 4 totals are unchanged.
+  */
+final class DagBranch(dag: BitDag, stack: Array[Int], rule2: Boolean, etT: Int, stride: Int, colored: Boolean) {
+  // Candidate rows per stack depth: the node at depth sp builds each child
+  // in rows(sp), from the full set in rows(sp - 1) at the entry depth sp.
+  // Rows grow only when a DAG needs more words: branching allocates nothing.
+  private val rows = Array.fill(stack.length)(Array.emptyLongArray)
+  private val inStep = stride - 1 // depth bits that mark a node inside a step
+
+  /** The full set `0 until dag.s` in the row before depth `sp`; grows the
+    * rows to `dag.words` words first.
+    */
+  def fullSet(sp: Int): Array[Long] = {
+    if (rows(0).length < dag.words) for (i <- rows.indices) rows(i) = new Array[Long](dag.words)
+    BitDag.fillAll(rows(sp - 1), dag.s)
+    rows(sp - 1)
+  }
+
+  /** Branches on all of `dag` with `l` vertices left to pick, from stack
+    * depth `sp` on; `et` probes ET on the full set first.
+    */
+  def run(l: Int, sp: Int, et: Boolean, sink: CliqueSink): Unit =
+    rec(fullSet(sp), dag.s, l, sp, et && etT > 0, sink)
+
+  // `et` already holds `etT > 0`, so with ET off the probe costs one flag test.
+  private def rec(c: Array[Long], cnt: Int, l: Int, sp: Int, et: Boolean, sink: CliqueSink): Unit = {
+    if (cnt < l) return
+    if (et && dag.tryEarlyTerminate(c, cnt, l, etT, stack, sp, sink)) return
+    if (l == 1) { dag.emitSingles(c, cnt, stack, sp, sink); return }
+    if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
+    val leaves = l == 3 && !sink.wantsCliques
+    val node = ((sp + 1) & inStep) == 0 // whether the children are framework nodes
+    val words = dag.words
+    val out = dag.out
+    val colors = dag.colors
+    val cNext = rows(sp)
+    var total = 0L
+    var live = true
+    var w = 0
+    while (w < words && live) {
+      var bits = c(w)
+      while (bits != 0 && live) {
+        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+        bits &= bits - 1
+        if (colored && colors(u) < l) live = false // positions ascend, colors descend
+        else {
+          var cntNext = 0
+          var ww = 0
+          while (ww < words) {
+            cNext(ww) = c(ww) & out(u * words + ww); cntNext += java.lang.Long.bitCount(cNext(ww)); ww += 1
+          }
+          if (leaves) { if (cntNext >= 2) total += dag.pairsIn(cNext) }
+          else if (cntNext >= l - 1 && (!rule2 || !node || l - 1 < 3 || dag.hasColors(cNext, l - 1))) { // Rule (2)
+            stack(sp) = dag.toOuter(u)
+            rec(cNext, cntNext, l - 1, sp + 1, node && etT > 0, sink)
+          }
+        }
+      }
+      w += 1
+    }
+    if (total > 0) sink.onCount(total)
   }
 }
 

@@ -61,9 +61,10 @@ object EbbkcPrep {
   * gives the subgraph on its common out-neighbors, a [[BitDag]] in position
   * order with the global colors, branched like EBBkC-H's.
   *
-  * The two color recursions pick a directed edge (u -> v), intersect common
-  * out-neighborhoods and apply the pruning rules of Section 4.3, with each
-  * candidate set one `Long` when the DAG has at most 64 vertices.
+  * Both color orderings pick a directed edge (u -> v), intersect common
+  * out-neighborhoods and apply the pruning rules of Section 4.3: with each
+  * candidate set one `Long` when the DAG has at most 64 vertices, else as
+  * two vertex steps of the word-row [[DagBranch]].
   * Uniqueness follows from the DAG orientation: each l-clique is generated
   * from its two smallest positions.
   */
@@ -95,12 +96,8 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   private val tRows = Array.fill(depths)(Array.emptyLongArray)
   private val tEnds = Array.fill(depths)(Array.emptyIntArray)
   private var rankKeys = Array.emptyLongArray
-  // EBBkC-H/C candidate rows, one pair per edge-branching depth: the branch
-  // at stack depth sp builds c_u in cuRows(sp / 2) and c_uv in c2Rows(sp / 2);
-  // c2Rows(0) holds a DAG's full vertex set. Rows grow only when a DAG needs
-  // more words, so branching itself allocates nothing.
-  private val cuRows = Array.fill(k / 2 + 1)(Array.emptyLongArray)
-  private val c2Rows = Array.fill(k / 2 + 1)(Array.emptyLongArray)
+  // A DAG of more than 64 vertices: each edge branch is two vertex steps.
+  private val branch = new DagBranch(dag, stack, rule2, etT, stride = 2, colored = true)
   // A one-word DAG (at most 64 vertices) keeps its candidate sets in `Long`
   // values instead; the ET probe and the l <= 2 emitters read them from
   // `word`, and colorMask(x) holds the DAG's positions of color >= x.
@@ -135,11 +132,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     }
     if (nv < l0) return
     stack(0) = u; stack(1) = v
-    if (l0 == 1) { // k = 3: each member of VSet(e) completes a triangle
-      if (!sink.wantsCliques) sink.onCount(nv)
-      else for (i <- 0 until nv) { stack(2) = verts(i); sink.onClique(stack, 3) }
-      return
-    }
+    if (l0 == 1) { BitDag.emitSingles(verts, nv, null, stack, 2, sink); return } // k = 3: triangles
 
     // The branch graph: VSet(e) with its edges ranked after e, ESet(e), in
     // the builder's local ids. Only EBBkC-T branches on ESet(e), in rank
@@ -284,25 +277,16 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     if (l0 == 2) { emitEdges(sub.ends, ne, 2, sink); return }
     dag.load(sub, s)
     if (mayBePlex(s, ne) &&
-        PlexListers.tryEarlyTerminate(stack, 2, fullSet(dag.words, s), s, dag.rows, dag.words, verts, l0, etT, sink))
+        PlexListers.tryEarlyTerminate(stack, 2, branch.fullSet(2), s, dag.rows, dag.words, verts, l0, etT, sink))
       return
     ColorDag.buildBits(dag, ColorDag.colorOrder(dag), dag.localColors, verts, null)
     branchOn(l0, etHere = false, sink)
   }
 
-  /** The set `0 until s` of `words` words, in c2Rows(0); grows the
-    * candidate rows to `words` words first.
-    */
-  private def fullSet(words: Int, s: Int): Array[Long] = {
-    if (cuRows(0).length < words)
-      for (i <- cuRows.indices) { cuRows(i) = new Array[Long](words); c2Rows(i) = new Array[Long](words) }
-    BitDag.fillAll(c2Rows(0), s)
-    c2Rows(0)
-  }
-
   /** Branches on the color-ordered `dag` with `l` vertices left to pick: its
-    * candidate sets are one `Long` each when it has one word, word rows
-    * otherwise. `etHere` probes ET on the full vertex set first.
+    * candidate sets are one `Long` each when it has one word, word rows of
+    * the two-step [[DagBranch]] otherwise. `etHere` probes ET on the full
+    * vertex set first.
     */
   private def branchOn(l: Int, etHere: Boolean, sink: CliqueSink): Unit = {
     val s = dag.s
@@ -316,76 +300,14 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
         x -= 1
       }
       recW(-1L >>> (64 - s), s, l, 2, etHere, sink)
-    } else recH(fullSet(dag.words, s), s, l, 2, etHere, sink)
+    } else branch.run(l, 2, etHere, sink)
   }
 
-  /** Word-parallel edge branching over `dag`. The candidate sets of
-    * the branch at stack depth sp live in `cuRows(sp / 2)` and
-    * `c2Rows(sp / 2)`, each at least `dag.words` long. A counting branch at
-    * l <= 4 sums its children's leaf counts in place (|c_uv| at l = 3, the
-    * pairs in c_uv at l = 4) and hands the sink their total.
-    */
-  private def recH(c: Array[Long], cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
-    if (cnt < l) return
-    if (etHere && dag.tryEarlyTerminate(c, cnt, l, etT, stack, sp, sink)) return
-    if (l == 1) { dag.emitSingles(c, cnt, stack, sp, sink); return }
-    if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
-    val leaves = l <= 4 && !sink.wantsCliques
-    val words = dag.words
-    val out = dag.out
-    val colors = dag.colors
-    val cu = cuRows(sp >>> 1)
-    val c2 = c2Rows(sp >>> 1)
-    var total = 0L
-    var live = true
-    var w = 0
-    while (w < words && live) {
-      var bits = c(w)
-      while (bits != 0 && live) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        if (colors(u) < l) live = false // Rule (1a): colors descend with position
-        else {
-          var ww = 0
-          while (ww < words) { cu(ww) = c(ww) & out(u * words + ww); ww += 1 }
-          var w2 = 0
-          var innerLive = true
-          while (w2 < words && innerLive) {
-            var bits2 = cu(w2)
-            while (bits2 != 0 && innerLive) {
-              val v = (w2 << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
-              bits2 &= bits2 - 1
-              if (colors(v) < l - 1) innerLive = false // Rule (1b)
-              else {
-                var cnt2 = 0
-                var w3 = 0
-                while (w3 < words) {
-                  c2(w3) = cu(w3) & out(v * words + w3)
-                  cnt2 += java.lang.Long.bitCount(c2(w3))
-                  w3 += 1
-                }
-                if (leaves) {
-                  if (l == 3) total += cnt2
-                  else if (cnt2 >= 2) total += dag.pairsIn(c2)
-                } else if (cnt2 >= l - 2 && (!rule2 || l - 2 < 3 || dag.hasColors(c2, l - 2))) { // Rule (2)
-                  stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
-                  recH(c2, cnt2, l - 2, sp + 2, etHere = true, sink)
-                }
-              }
-            }
-            w2 += 1
-          }
-        }
-      }
-      w += 1
-    }
-    if (total > 0) sink.onCount(total)
-  }
-
-  /** [[recH]] for a DAG of at most 64 vertices: the same search tree, with
-    * each candidate set one `Long`. Rules (1a) and (1b) become masks: the
-    * members of color >= l are `c & colorMask(l)`. The ET probe and the
-    * l <= 2 emitters take the set through the one-word row `word`.
+  /** Edge branching on a DAG of at most 64 vertices, each candidate set one
+    * `Long`. Rules (1a) and (1b) become masks: the members of color >= l
+    * are `c & colorMask(l)`. The ET probe and the l <= 2 emitters take the
+    * set through the one-word row `word`. A counting branch at l <= 4 sums
+    * its children's leaf counts (|c_uv| or the pairs in c_uv) in place.
     */
   private def recW(c: Long, cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
     if (cnt < l) return

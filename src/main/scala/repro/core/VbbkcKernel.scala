@@ -58,11 +58,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
   // The subproblem's vertices, ascending (builder local id i is cands(i)),
   // and the EP scheme's probe hits.
   private val cands, hitIdx, hitPos = new Array[Int](g.maxDegree)
-  // Bitset candidate rows, one per stack depth: the branch at depth sp
-  // builds its candidate set in cRows(sp), so a subproblem entering at depth
-  // sp starts from its full set in cRows(sp - 1). Rows grow only when a
-  // subproblem needs more words, so branching itself allocates nothing.
-  private val cRows = Array.fill(k)(Array.emptyLongArray)
+  private val branch = new DagBranch(dag, stack, colorRule2, etT, stride = 1, colored = useColor) // bitset rows
 
   override def run(subId: Int, sink: CliqueSink): Unit =
     if (cfg.edgeParallel) runEdgeSub(subId, sink) else runVertexSub(subId, sink)
@@ -97,14 +93,7 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
     * as bitset rows or, for the array baselines, as int rows.
     */
   private def processSub(s: Int, l0: Int, sp: Int, sink: CliqueSink): Unit = {
-    if (l0 == 1) {
-      if (!sink.wantsCliques) sink.onCount(s)
-      else {
-        var i = 0
-        while (i < s) { stack(sp) = prep.toGlobal(cands(i)); sink.onClique(stack, sp + 1); i += 1 }
-      }
-      return
-    }
+    if (l0 == 1) { BitDag.emitSingles(cands, s, prep.toGlobal, stack, sp, sink); return }
     sub.build(cands, s, null, 0)
     dag.load(sub, s)
     val order = cfg.sub match {
@@ -113,22 +102,15 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
       case SubColor   => ColorDag.colorOrder(dag)
     }
     ColorDag.buildBits(dag, order, if (useColor) dag.localColors else null, cands, prep.toGlobal)
-    if (cfg.bitset) {
-      if (cRows(0).length < dag.words) {
-        var i = 0
-        while (i < cRows.length) { cRows(i) = new Array[Long](dag.words); i += 1 }
-      }
-      val full = cRows(sp - 1)
-      BitDag.fillAll(full, s)
-      recBits(full, s, l0, sp, sink)
-    } else recArr(ColorDag.fromBits(dag), Array.tabulate(s)(identity), l0, sp, sink)
+    if (cfg.bitset) branch.run(l0, sp, et = true, sink)
+    else recArr(ColorDag.fromBits(dag), Array.tabulate(s)(identity), l0, sp, sink)
   }
 
   // ------------------------------------------------------------ array kernel
 
   private def recArr(dag: ColorDag, c: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
     if (c.length < l) return
-    if (l == 1) { dag.emitSingles(c, stack, sp, sink); return }
+    if (l == 1) { BitDag.emitSingles(c, c.length, dag.toOuter, stack, sp, sink); return }
     if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
     // A counting branch at l = 3 sums its children's pairs in place.
     val leaves = l == 3 && !sink.wantsCliques
@@ -143,48 +125,6 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
         recArr(dag, cu, l - 1, sp + 1, sink)
       }
       i += 1
-    }
-    if (total > 0) sink.onCount(total)
-  }
-
-  // ----------------------------------------------------------- bitset kernel
-
-  private def recBits(c: Array[Long], cnt: Int, l: Int, sp: Int, sink: CliqueSink): Unit = {
-    if (cnt < l) return
-    // ET off is tested here as well: the JIT then compiles this recursion
-    // from its own branch profile and keeps the probe, hot in EBBkC-H, out
-    // of the SDegree/BitCol code.
-    if (etT > 0 && dag.tryEarlyTerminate(c, cnt, l, etT, stack, sp, sink)) return
-    if (l == 1) { dag.emitSingles(c, cnt, stack, sp, sink); return }
-    if (l == 2) { dag.emitPairs(c, stack, sp, sink); return }
-    // A counting branch at l = 3 sums its children's pairs in place.
-    val leaves = l == 3 && !sink.wantsCliques
-    val words = dag.words
-    val out = dag.out
-    val cNext = cRows(sp)
-    var total = 0L
-    var live = true
-    var w = 0
-    while (w < words && live) {
-      var bits = c(w)
-      while (bits != 0 && live) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        if (useColor && dag.colors(u) < l) live = false // positions ascend, colors descend
-        else {
-          var cntNext = 0
-          var ww = 0
-          while (ww < words) {
-            cNext(ww) = c(ww) & out(u * words + ww); cntNext += java.lang.Long.bitCount(cNext(ww)); ww += 1
-          }
-          if (leaves) { if (cntNext >= 2) total += dag.pairsIn(cNext) }
-          else if (cntNext >= l - 1 && (!colorRule2 || l - 1 < 3 || dag.hasColors(cNext, l - 1))) { // Rule (2)
-            stack(sp) = dag.toOuter(u)
-            recBits(cNext, cntNext, l - 1, sp + 1, sink)
-          }
-        }
-      }
-      w += 1
     }
     if (total > 0) sink.onCount(total)
   }

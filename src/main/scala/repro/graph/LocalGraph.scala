@@ -35,12 +35,6 @@ final class LocalGraph private (
 
   @inline def hasEdge(u: Int, v: Int): Boolean = u != v && adjPos(u, v) >= 0
 
-  /** Undirected edge id of `(u, v)`, or -1 if the edge is absent. */
-  @inline def edgeIdOf(u: Int, v: Int): Int = {
-    val p = adjPos(u, v)
-    if (p >= 0) adjEdgeIds(p) else -1
-  }
-
   /** Start of `v`'s out-suffix in `adj`: the first position whose neighbor
     * exceeds `v` (binary-searched; `v` is never its own neighbor).
     */

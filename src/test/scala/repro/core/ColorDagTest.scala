@@ -192,7 +192,7 @@ class ColorDagTest extends AnyFunSuite {
         for (listing <- Seq(false, true)) {
           val stack = Array(7, 8, 0, 0)
           val (a, b) = (new Recorder(listing), new Recorder(listing))
-          bits.emitSingles(row, c.length, stack, 2, a); dag.emitSingles(c, stack, 2, b)
+          bits.emitSingles(row, c.length, stack, 2, a); BitDag.emitSingles(c, c.length, dag.toOuter, stack, 2, b)
           bits.emitPairs(row, stack, 2, a); dag.emitPairs(c, stack, 2, b)
           assert(a.total == b.total && a.cliques == b.cliques)
           assert(a.cliques.forall(_.take(2) == Seq(7, 8)))

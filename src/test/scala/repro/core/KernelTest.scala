@@ -255,15 +255,16 @@ class KernelEdgeCaseTest extends AnyFunSuite {
 
   // Branch graphs and out-neighborhoods of more than 64 vertices take the
   // multi-word bitset paths and grow the kernels' per-depth rows. K70
-  // (tau = 68, delta = 69) reaches BitCol's multi-word rows and the
-  // multi-word recursion recH: from EBBkC-H without ET and only at k = 5, 6
-  // (leaf levels), from EBBkC-C at every k, since its first edges' common
-  // out-neighborhoods hold up to 68 vertices (EBBkC-C+ET settles those at
-  // its top-level ET probe from k = 5 on). The dense gnp (tau = 45,
-  // delta = 71) reaches only the VBBkC baselines' multi-word rows: all its
-  // EBBkC-H branch graphs are one word. The mixed-width fixture below runs
-  // recH with ET from EBBkC-H and EBBkC-C, and EBBkC-T's two-word rows and
-  // ET probe.
+  // (tau = 68, delta = 69) reaches the word-row recursion DagBranch both
+  // one vertex per step (BitCol) and two steps per edge branch: from
+  // EBBkC-H without ET and only at k = 5, 6 (leaf levels), from EBBkC-C at
+  // every k, since its first edges' common out-neighborhoods hold up to 68
+  // vertices (EBBkC-C+ET settles those at its top-level ET probe from k = 5
+  // on). The dense gnp (tau = 45, delta = 71) reaches only the VBBkC
+  // baselines' multi-word rows: all its EBBkC-H branch graphs are one word.
+  // The mixed-width fixture below runs the two-step DagBranch with ET from
+  // EBBkC-H and EBBkC-C, and EBBkC-T's two-word rows and ET probe;
+  // BranchPinTest pins the order in which these paths emit.
   test("multi-word candidate sets: K70 counts are binomials") {
     val g = GraphGen.complete(70)
     val cfgs = Seq[AlgoConfig](Algos.EBBkC, Algos.EBBkC.copy(rule2 = false), Algos.BitCol, Algos.BitColPlus,
@@ -365,7 +366,7 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     val sizes = (0 until g.m).map { e =>
       val u = g.edgeU(e); val v = g.edgeV(e)
       TestGraphs.neighborsOf(g, u).count { w =>
-        val ea = g.edgeIdOf(u, w); val eb = g.edgeIdOf(v, w)
+        val ea = TestGraphs.edgeIdOf(g, u, w); val eb = TestGraphs.edgeIdOf(g, v, w)
         eb >= 0 && rank(ea) > rank(e) && rank(eb) > rank(e)
       }
     }

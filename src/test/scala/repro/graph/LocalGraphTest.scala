@@ -26,10 +26,10 @@ class LocalGraphTest extends AnyFunSuite {
     val g = LocalGraph.fromEdges(4, Seq((2, 3), (0, 1), (1, 2)))
     assert(g.edgeU.toSeq == Seq(0, 1, 2))
     assert(g.edgeV.toSeq == Seq(1, 2, 3))
-    assert(g.edgeIdOf(0, 1) == 0 && g.edgeIdOf(1, 0) == 0)
-    assert(g.edgeIdOf(1, 2) == 1 && g.edgeIdOf(2, 1) == 1)
-    assert(g.edgeIdOf(2, 3) == 2)
-    assert(g.edgeIdOf(0, 3) == -1)
+    assert(TestGraphs.edgeIdOf(g, 0, 1) == 0 && TestGraphs.edgeIdOf(g, 1, 0) == 0)
+    assert(TestGraphs.edgeIdOf(g, 1, 2) == 1 && TestGraphs.edgeIdOf(g, 2, 1) == 1)
+    assert(TestGraphs.edgeIdOf(g, 2, 3) == 2)
+    assert(TestGraphs.edgeIdOf(g, 0, 3) == -1)
   }
 
   test("neighbor lists are sorted") {
@@ -50,7 +50,7 @@ class LocalGraphTest extends AnyFunSuite {
     val g = GraphGen.gnm(40, 150, seed = 3)
     for (v <- 0 until g.n; p <- g.offsets(v) until g.offsets(v + 1)) {
       val w = g.adj(p)
-      assert(g.adjEdgeIds(p) == g.edgeIdOf(v, w))
+      assert(g.adjEdgeIds(p) == TestGraphs.edgeIdOf(g, v, w))
     }
   }
 

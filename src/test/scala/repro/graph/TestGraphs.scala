@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 
 /** Graph helpers that only tests use: canonical edge tables (the form the
   * DuckDB oracle queries assume), synthetic Zipf and uniform edge
-  * generators, edge-table statistics, and neighbor-list copies.
+  * generators, edge-table statistics, neighbor-list copies and edge-id lookups.
   */
 object TestGraphs {
 
@@ -57,4 +57,10 @@ object TestGraphs {
   /** Fresh copy of `v`'s sorted neighbor list. */
   def neighborsOf(g: LocalGraph, v: Int): Array[Int] =
     java.util.Arrays.copyOfRange(g.adj, g.offsets(v), g.offsets(v + 1))
+
+  /** Undirected edge id of `(u, v)` in `g`, or -1 if the edge is absent. */
+  def edgeIdOf(g: LocalGraph, u: Int, v: Int): Int = {
+    val p = g.adjPos(u, v)
+    if (p >= 0) g.adjEdgeIds(p) else -1
+  }
 }

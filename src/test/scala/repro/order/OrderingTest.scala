@@ -129,7 +129,7 @@ class TrussDecompositionTest extends AnyFunSuite {
       val r = t.edgeRank(e)
       val cnt = (0 until g.n).count { w =>
         w != u && w != v && {
-          val ea = g.edgeIdOf(u, w); val eb = g.edgeIdOf(v, w)
+          val ea = TestGraphs.edgeIdOf(g, u, w); val eb = TestGraphs.edgeIdOf(g, v, w)
           ea >= 0 && eb >= 0 && t.edgeRank(ea) > r && t.edgeRank(eb) > r
         }
       }
@@ -149,7 +149,7 @@ class TrussDecompositionTest extends AnyFunSuite {
     val t = TrussDecomposition.run(g)
     assert(t.tau == 8) // K_10 => every clique edge has 8 common neighbors
     for (u <- 10 until 20; v <- u + 1 until 20)
-      assert(t.trussNumber(g.edgeIdOf(u, v)) == 10)
+      assert(t.trussNumber(TestGraphs.edgeIdOf(g, u, v)) == 10)
   }
 
   test("tau >= omega - 2 (an omega-clique is an omega-truss)") {
