@@ -30,6 +30,9 @@ sealed trait EtMode extends Serializable {
     case EtFixed(t) => t
     case EtAuto     => if (tau.exists(k <= _ / 2)) 2 else 3
   }
+
+  /** The algorithm-name suffix: "", "+ET" or "+ET(t=...)". */
+  def suffix: String = this match { case EtOff => ""; case EtAuto => "+ET"; case EtFixed(t) => s"+ET(t=$t)" }
 }
 case object EtOff extends EtMode
 /** Terminate branches whose graph is a t-plex for this fixed t. */
@@ -52,8 +55,7 @@ final case class EbbkcAlgo(
       case HybridOrdering => "EBBkC"
     }
     val r = if (!rule2 && ordering != TrussOrdering) "(stc)" else ""
-    val e = et match { case EtOff => ""; case EtAuto => "+ET"; case EtFixed(t) => s"+ET(t=$t)" }
-    base + r + e
+    base + r + et.suffix
   }
 }
 
@@ -82,9 +84,8 @@ final case class VbbkcAlgo(
       case (SubColor, true)    => "BitCol"
     }
     val r = if (rule2) "+" else ""
-    val e = et match { case EtOff => ""; case EtAuto => "+ET"; case EtFixed(t) => s"+ET(t=$t)" }
     val p = if (edgeParallel) " (EP)" else ""
-    base + r + e + p
+    base + r + et.suffix + p
   }
 }
 

@@ -97,6 +97,8 @@ final class BitDag {
   var colors = Array.emptyIntArray
   /** Position -> caller's vertex id. */
   var toOuter = Array.emptyIntArray
+  /** The full set `0 until s` (local ids, then positions), in `words` words. */
+  var full = Array.emptyLongArray
   // Build scratch over the loaded graph's local ids: its rows (stride
   // `words`), a vertex order (position -> local id), the local colors (or
   // degrees, while an order is computed) and the greedy color classes
@@ -107,8 +109,8 @@ final class BitDag {
   private[core] var posOf = Array.emptyIntArray
   private[core] var packed = Array.emptyLongArray
 
-  /** Sizes the DAG for the `n` vertices of `sub`'s last build and loads
-    * their adjacency into `rows`.
+  /** Sizes the DAG for the `n` vertices of `sub`'s last build, loads their
+    * adjacency into `rows` and fills [[full]].
     */
   def load(sub: SubgraphBuilder, n: Int): Unit = {
     s = n
@@ -116,12 +118,14 @@ final class BitDag {
     if (rows.length < n * words) {
       rows = new Array[Long](n * words); out = new Array[Long](n * words)
       und = new Array[Long](n * words); classes = new Array[Long](n * words)
+      full = new Array[Long](words)
     }
     if (order.length < n) {
       order = new Array[Int](n); localColors = new Array[Int](n); colors = new Array[Int](n)
       toOuter = new Array[Int](n); posOf = new Array[Int](n); packed = new Array[Long](n)
     }
     sub.wordRows(rows, words, n)
+    BitDag.fillAll(full, n)
   }
 
   /** [[ColorDag#hasColors]] for the bitset `c`. */
@@ -278,25 +282,20 @@ object BitDag {
   */
 final class DagBranch(dag: BitDag, stack: Array[Int], rule2: Boolean, etT: Int, stride: Int, colored: Boolean) {
   // Candidate rows per stack depth: the node at depth sp builds each child
-  // in rows(sp), from the full set in rows(sp - 1) at the entry depth sp.
-  // Rows grow only when a DAG needs more words: branching allocates nothing.
+  // in rows(sp); the entry node reads `dag.full`, and no node writes its own
+  // set. Rows grow only when a DAG needs more words: branching allocates
+  // nothing.
   private val rows = Array.fill(stack.length)(Array.emptyLongArray)
   private val inStep = stride - 1 // depth bits that mark a node inside a step
 
-  /** The full set `0 until dag.s` in the row before depth `sp`; grows the
-    * rows to `dag.words` words first.
-    */
-  def fullSet(sp: Int): Array[Long] = {
-    if (rows(0).length < dag.words) for (i <- rows.indices) rows(i) = new Array[Long](dag.words)
-    BitDag.fillAll(rows(sp - 1), dag.s)
-    rows(sp - 1)
-  }
-
   /** Branches on all of `dag` with `l` vertices left to pick, from stack
-    * depth `sp` on; `et` probes ET on the full set first.
+    * depth `sp` on; `et` probes ET on the full set first. Grows the rows to
+    * `dag.words` words first.
     */
-  def run(l: Int, sp: Int, et: Boolean, sink: CliqueSink): Unit =
-    rec(fullSet(sp), dag.s, l, sp, et && etT > 0, sink)
+  def run(l: Int, sp: Int, et: Boolean, sink: CliqueSink): Unit = {
+    if (rows(0).length < dag.words) for (i <- rows.indices) rows(i) = new Array[Long](dag.words)
+    rec(dag.full, dag.s, l, sp, et && etT > 0, sink)
+  }
 
   // `et` already holds `etT > 0`, so with ET off the probe costs one flag test.
   private def rec(c: Array[Long], cnt: Int, l: Int, sp: Int, et: Boolean, sink: CliqueSink): Unit = {

@@ -277,7 +277,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     if (l0 == 2) { emitEdges(sub.ends, ne, 2, sink); return }
     dag.load(sub, s)
     if (mayBePlex(s, ne) &&
-        PlexListers.tryEarlyTerminate(stack, 2, branch.fullSet(2), s, dag.rows, dag.words, verts, l0, etT, sink))
+        PlexListers.tryEarlyTerminate(stack, 2, dag.full, s, dag.rows, dag.words, verts, l0, etT, sink))
       return
     ColorDag.buildBits(dag, ColorDag.colorOrder(dag), dag.localColors, verts, null)
     branchOn(l0, etHere = false, sink)

@@ -3,44 +3,18 @@ package repro.graph
 import scala.collection.mutable
 import scala.util.Random
 
-/** Deterministic synthetic graph generators.
+/** Deterministic random graph generators: the substrate of the
+  * [[SynthGraphs]] stand-ins.
   *
   * The paper evaluates on 19 real graphs from the Network Repository; those
   * are not available offline, so every experiment here runs on synthetic
-  * stand-ins assembled from these primitives (see [[SynthGraphs]] and
-  * DESIGN.md for the substitution argument). All generators are pure in
-  * `(params, seed)` so tests, the DuckDB oracle, and benches see identical
-  * graphs.
+  * stand-ins assembled from these three generators (see DESIGN.md for the
+  * substitution argument). All are pure in `(params, seed)` so tests, the
+  * DuckDB oracle, and benches see identical graphs. The fixture generators
+  * of the tests (K_n, t-plexes, planted cliques, ...) are test-scope, in
+  * `TestGraphs`.
   */
 object GraphGen {
-
-  /** Complete graph K_n. */
-  def complete(n: Int): LocalGraph =
-    LocalGraph.fromEdges(n, for (u <- 0 until n; v <- u + 1 until n) yield (u, v))
-
-  /** Complete bipartite graph K_{p,q}: sides `0 until p` and `p until p+q`. */
-  def completeBipartite(p: Int, q: Int): LocalGraph =
-    LocalGraph.fromEdges(p + q, for (u <- 0 until p; v <- p until p + q) yield (u, v))
-
-  /** Cycle C_n (n >= 3). */
-  def cycle(n: Int): LocalGraph = {
-    require(n >= 3, "cycle needs n >= 3")
-    LocalGraph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n)))
-  }
-
-  /** Path P_n. */
-  def path(n: Int): LocalGraph =
-    LocalGraph.fromEdges(n, (0 until n - 1).map(i => (i, i + 1)))
-
-  /** Star with center 0 and n-1 leaves. */
-  def star(n: Int): LocalGraph =
-    LocalGraph.fromEdges(n, (1 until n).map(i => (0, i)))
-
-  /** Uniform random recursive tree. */
-  def randomTree(n: Int, seed: Long): LocalGraph = {
-    val rnd = new Random(seed)
-    LocalGraph.fromEdges(n, (1 until n).map(i => (rnd.nextInt(i), i)))
-  }
 
   /** G(n, m): exactly `m` distinct uniform random edges (m must fit). */
   def gnm(n: Int, m: Int, seed: Long): LocalGraph = {
@@ -110,68 +84,4 @@ object GraphGen {
     }
     LocalGraph.fromEdges(n, buf)
   }
-
-  /** A t-plex on n vertices: K_n minus (t-1) random perfect matchings, so
-    * every vertex keeps at least n - t neighbors (at most t non-neighbors
-    * counting itself). With t = 1 this is K_n.
-    */
-  def tPlex(n: Int, t: Int, seed: Long): LocalGraph = {
-    require(t >= 1, "t >= 1")
-    val rnd = new Random(seed)
-    val removed = mutable.HashSet.empty[Long]
-    for (_ <- 1 until t) {
-      val perm = rnd.shuffle((0 until n).toVector)
-      var i = 0
-      while (i + 1 < n) {
-        val u = math.min(perm(i), perm(i + 1)); val v = math.max(perm(i), perm(i + 1))
-        removed += ((u.toLong << 32) | v)
-        i += 2
-      }
-    }
-    LocalGraph.fromEdges(
-      n,
-      for {
-        u <- 0 until n; v <- u + 1 until n
-        if !removed.contains((u.toLong << 32) | v)
-      } yield (u, v)
-    )
-  }
-
-  /** A 2-plex built explicitly as K_n minus `numPairs` disjoint non-edges
-    * (pairs (0,1), (2,3), ...). Used to exercise kC2Plex's F/L/R partition.
-    */
-  def twoPlexWithPairs(n: Int, numPairs: Int): LocalGraph = {
-    require(2 * numPairs <= n, "pairs must be disjoint")
-    val removed = (0 until numPairs).map(i => (2L * i << 32) | (2L * i + 1)).toSet
-    LocalGraph.fromEdges(
-      n,
-      for {
-        u <- 0 until n; v <- u + 1 until n
-        if !removed.contains((u.toLong << 32) | v)
-      } yield (u, v)
-    )
-  }
-
-  /** Union of `g` with cliques planted on the given vertex subsets. */
-  def plantCliques(g: LocalGraph, cliques: Seq[Seq[Int]]): LocalGraph = {
-    val extra = cliques.iterator.flatMap { vs =>
-      for (i <- vs.indices.iterator; j <- (i + 1 until vs.length).iterator) yield (vs(i), vs(j))
-    }
-    LocalGraph.fromEdges(g.n, g.edges ++ extra)
-  }
-
-  /** Plants `count` cliques of size `size` on random vertex subsets of `g`. */
-  def plantRandomCliques(g: LocalGraph, count: Int, size: Int, seed: Long): LocalGraph = {
-    val rnd = new Random(seed)
-    val cliques = (0 until count).map { _ =>
-      val chosen = mutable.LinkedHashSet.empty[Int]
-      while (chosen.size < size) chosen += rnd.nextInt(g.n)
-      chosen.toSeq
-    }
-    plantCliques(g, cliques)
-  }
-
-  /** Disjoint union: vertices of `b` are shifted by `a.n`. */
-  def disjointUnion(a: LocalGraph, b: LocalGraph): LocalGraph =
-    LocalGraph.fromEdges(a.n + b.n, a.edges ++ b.edges.map { case (u, v) => (u + a.n, v + a.n) })
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{LocalGraph, TestGraphs}
 
 /** Pins the search trees of the bitset recursions. For every bitset
   * configuration of the correctness sweep, plus Degen(bit), it takes an
@@ -19,7 +19,7 @@ class BranchPinTest extends AnyFunSuite {
   private val cells: Seq[(LocalGraph, Int)] =
     (5 to 7).map(k => (mixedWidth, k)) ++
       wordBoundary.flatMap { case (_, g) => (4 to 5).map(k => (g, k)) } ++
-      (3 to 4).map(k => (GraphGen.complete(70), k))
+      (3 to 4).map(k => (TestGraphs.complete(70), k))
 
   private val bitsetAlgos: Seq[AlgoConfig] = algos.filter {
     case v: VbbkcAlgo => v.bitset

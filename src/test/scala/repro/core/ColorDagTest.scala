@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, LocalGraph, SubgraphBuilder}
+import repro.graph.{GraphGen, LocalGraph, SubgraphBuilder, TestGraphs}
 
 /** The shared position-space DAG builder: its word rows equal a reference
   * read off `hasEdge`, `fromBits` reads them as int rows, edges point
@@ -11,7 +11,7 @@ import repro.graph.{GraphGen, LocalGraph, SubgraphBuilder}
 class ColorDagTest extends AnyFunSuite {
 
   private val graphs: Seq[LocalGraph] =
-    Seq(GraphGen.gnp(40, 0.3, 1), GraphGen.gnp(70, 0.5, 2), GraphGen.gnp(130, 0.2, 3), GraphGen.complete(64))
+    Seq(GraphGen.gnp(40, 0.3, 1), GraphGen.gnp(70, 0.5, 2), GraphGen.gnp(130, 0.2, 3), TestGraphs.complete(64))
 
   private def bitsOf(row: Array[Long]): Seq[Int] =
     for (q <- 0 until 64 * row.length if (row(q >>> 6) & (1L << (q & 63))) != 0) yield q

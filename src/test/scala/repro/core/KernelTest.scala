@@ -9,21 +9,21 @@ import repro.graph.{GraphGen, LocalGraph, SynthGraphs, TestGraphs}
 object KernelFixtures {
 
   val graphs: Seq[(String, LocalGraph)] = Seq(
-    "K9" -> GraphGen.complete(9),
-    "bipartite5x5" -> GraphGen.completeBipartite(5, 5),
+    "K9" -> TestGraphs.complete(9),
+    "bipartite5x5" -> TestGraphs.completeBipartite(5, 5),
     "gnp40" -> GraphGen.gnp(40, 0.3, 1),
     "gnp25dense" -> GraphGen.gnp(25, 0.5, 2),
-    "planted" -> GraphGen.plantCliques(GraphGen.gnm(60, 150, 3), Seq(0 until 9, 20 until 27)),
+    "planted" -> TestGraphs.plantCliques(GraphGen.gnm(60, 150, 3), Seq(0 until 9, 20 until 27)),
     "powerlaw" -> GraphGen.powerLaw(120, 500, 1.5, 4),
-    "twoComponents" -> GraphGen.disjointUnion(GraphGen.complete(7), GraphGen.gnp(30, 0.35, 5)),
+    "twoComponents" -> TestGraphs.disjointUnion(TestGraphs.complete(7), GraphGen.gnp(30, 0.35, 5)),
     "sparse" -> GraphGen.gnm(80, 120, 6),
-    "cycle12" -> GraphGen.cycle(12),
+    "cycle12" -> TestGraphs.cycle(12),
     "counterexample" -> LocalGraph.fromEdges(4, Seq((0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
     // A hub adjacent to all 299 other vertices, inside a planted 9-clique and
     // over a gnp graph: its list is far longer than any candidate set, so
     // lookups both into and from it take long gallops.
-    "hub" -> GraphGen.plantCliques(
-      LocalGraph.fromEdges(300, GraphGen.star(300).edges ++
+    "hub" -> TestGraphs.plantCliques(
+      LocalGraph.fromEdges(300, TestGraphs.star(300).edges ++
         GraphGen.gnp(40, 0.3, 7).edges.map { case (u, v) => (u + 100, v + 100) }),
       Seq(0 +: (200 until 208)))
   )
@@ -68,7 +68,7 @@ object KernelFixtures {
     val a = 70
     val n = 3 * a + 90
     val core = for (p <- 0 until 3; q <- p + 1 until 3; i <- 0 until a; j <- 0 until a) yield (p * a + i, q * a + j)
-    GraphGen.plantCliques(
+    TestGraphs.plantCliques(
       LocalGraph.fromEdges(n, core ++ GraphGen.gnm(n, 500, 12).edges),
       Seq(0 until 6, a until a + 6, 2 * a until 2 * a + 6))
   }
@@ -86,9 +86,9 @@ object KernelFixtures {
     "gnp200" -> GraphGen.gnp(200, 0.5, 26),
     "bicliques" -> Seq(63, 64, 65, 127, 128, 129).map { a =>
       val sides = for (i <- 0 until a; j <- a until 2 * a) yield (i, j)
-      GraphGen.plantCliques(
+      TestGraphs.plantCliques(
         LocalGraph.fromEdges(2 * a, sides ++ GraphGen.gnm(2 * a, 150, a).edges), Seq(0 until 6, a until a + 6))
-    }.reduce(GraphGen.disjointUnion))
+    }.reduce(TestGraphs.disjointUnion))
 
   lazy val expected: Map[(String, Int), Set[Seq[Int]]] = (for {
     (name, g) <- graphs
@@ -169,13 +169,13 @@ class KernelEdgeCaseTest extends AnyFunSuite {
   }
 
   test("k equal to omega counts the maximum cliques") {
-    val g = GraphGen.plantCliques(GraphGen.gnm(100, 250, 2), Seq(0 until 12))
+    val g = TestGraphs.plantCliques(GraphGen.gnm(100, 250, 2), Seq(0 until 12))
     assert(KClique.count(g, 12, Algos.EBBkCET) == 1L)
     assert(KClique.count(g, 12, Algos.BitCol) == 1L)
   }
 
   test("complete graph counts are binomials across algorithms and k") {
-    val g = GraphGen.complete(14)
+    val g = TestGraphs.complete(14)
     for (k <- 3 to 12; cfg <- Seq[AlgoConfig](Algos.EBBkCET, Algos.EBBkC, Algos.BitCol, Algos.DDegree))
       assert(KClique.count(g, k, cfg) == Combinatorics.binomial(14, k), s"k=$k ${cfg.name}")
   }
@@ -188,7 +188,7 @@ class KernelEdgeCaseTest extends AnyFunSuite {
   }
 
   test("k below 3 is rejected") {
-    val g = GraphGen.complete(5)
+    val g = TestGraphs.complete(5)
     intercept[IllegalArgumentException](KClique.count(g, 2, Algos.EBBkCET))
     intercept[IllegalArgumentException](KClique.count(g, 2, Algos.BitCol))
   }
@@ -196,7 +196,7 @@ class KernelEdgeCaseTest extends AnyFunSuite {
   test("disjoint union counts add up") {
     val a = GraphGen.gnp(25, 0.4, 3)
     val b = GraphGen.gnp(30, 0.35, 4)
-    val u = GraphGen.disjointUnion(a, b)
+    val u = TestGraphs.disjointUnion(a, b)
     for (k <- 3 to 5)
       assert(
         KClique.count(u, k, Algos.EBBkCET) ==
@@ -246,7 +246,7 @@ class KernelEdgeCaseTest extends AnyFunSuite {
 
   test("counts past Long.MaxValue throw instead of wrapping (K70, k=35)") {
     // C(70, 35) ~ 1.1e20; both ET paths reach it through binomials.
-    val g = GraphGen.complete(70)
+    val g = TestGraphs.complete(70)
     for (cfg <- Seq[AlgoConfig](Algos.EBBkCET, Algos.VBBkCET))
       intercept[ArithmeticException](KClique.count(g, 35, cfg))
     assert(Combinatorics.binomial(66, 33) == 7219428434016265740L)
@@ -266,7 +266,7 @@ class KernelEdgeCaseTest extends AnyFunSuite {
   // EBBkC-H and EBBkC-C, and EBBkC-T's two-word rows and ET probe;
   // BranchPinTest pins the order in which these paths emit.
   test("multi-word candidate sets: K70 counts are binomials") {
-    val g = GraphGen.complete(70)
+    val g = TestGraphs.complete(70)
     val cfgs = Seq[AlgoConfig](Algos.EBBkC, Algos.EBBkC.copy(rule2 = false), Algos.BitCol, Algos.BitColPlus,
       EbbkcAlgo(ColorOrdering), Algos.EBBkCC_ET)
     for (k <- 3 to 6; cfg <- cfgs)
@@ -466,7 +466,7 @@ class KernelEdgeCaseTest extends AnyFunSuite {
 
   test("paper running example: 4-cliques under color pruning (Figure 2)") {
     // 8-vertex graph shaped like Figure 2(a): two K4s sharing structure.
-    val g = GraphGen.plantCliques(LocalGraph.empty(8), Seq(Seq(0, 1, 2, 3), Seq(4, 5, 6, 7), Seq(3, 4)))
+    val g = TestGraphs.plantCliques(LocalGraph.empty(8), Seq(Seq(0, 1, 2, 3), Seq(4, 5, 6, 7), Seq(3, 4)))
     assert(KClique.count(g, 4, EbbkcAlgo(ColorOrdering, rule2 = true)) == 2L)
     assert(KClique.count(g, 4, EbbkcAlgo(ColorOrdering, rule2 = false)) == 2L)
   }

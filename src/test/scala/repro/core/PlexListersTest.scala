@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{LocalGraph, TestGraphs}
 
 /** Direct tests of the early-termination listers (Section 5) against brute
   * force, in both counting and listing mode.
@@ -60,10 +60,10 @@ class PlexListersTest extends AnyFunSuite {
   }
 
   for ((name, h, t) <- Seq(
-        ("a clique", GraphGen.complete(10), 1),
-        ("a 2-plex", GraphGen.twoPlexWithPairs(12, 3), 2),
-        ("a 3-plex", GraphGen.tPlex(14, 3, seed = 5), 3),
-        ("a 4-plex", GraphGen.tPlex(14, 4, seed = 6), 4));
+        ("a clique", TestGraphs.complete(10), 1),
+        ("a 2-plex", TestGraphs.twoPlexWithPairs(12, 3), 2),
+        ("a 3-plex", TestGraphs.tPlex(14, 3, seed = 5), 3),
+        ("a 4-plex", TestGraphs.tPlex(14, 4, seed = 6), 4));
        l <- 3 to 5) {
     test(s"members of a larger graph, $name, l=$l: count and list match brute force on the induced subgraph") {
       val counting = new CountingSink
@@ -82,7 +82,7 @@ class PlexListersTest extends AnyFunSuite {
   test("members of a larger graph sparser than cnt - t are refused and emit nothing") {
     // A cycle among the members: their host rows are dense, their induced
     // degrees are 2.
-    val h = GraphGen.cycle(10)
+    val h = TestGraphs.cycle(10)
     for (t <- 1 to 7) {
       val counting = new CountingSink
       assert(!runEmbedded(h, 3, t, counting)._1, s"t=$t")
@@ -94,18 +94,18 @@ class PlexListersTest extends AnyFunSuite {
   }
 
   test("clique path: counts are binomials") {
-    val g = GraphGen.complete(12)
+    val g = TestGraphs.complete(12)
     for (l <- 1 to 10) assert(run(g, l, 1, wantCliques = false) == Left(Combinatorics.binomial(12, l)))
   }
 
   test("clique path: listing matches brute force") {
-    val g = GraphGen.complete(8)
+    val g = TestGraphs.complete(8)
     for (l <- 2 to 6) assert(run(g, l, 1, wantCliques = true) == Right(BruteForce.list(g, l)))
   }
 
   for (pairs <- Seq(1, 2, 4); l <- 2 to 6) {
     test(s"kC2Plex on K_12 minus $pairs pairs, l=$l: count and list match brute force") {
-      val g = GraphGen.twoPlexWithPairs(12, pairs)
+      val g = TestGraphs.twoPlexWithPairs(12, pairs)
       val want = BruteForce.list(g, l)
       assert(run(g, l, 2, wantCliques = false) == Left(want.size.toLong))
       assert(run(g, l, 2, wantCliques = true) == Right(want))
@@ -114,7 +114,7 @@ class PlexListersTest extends AnyFunSuite {
 
   test("kC2Plex count identity: sum_j C(f, l-j) C(p, j) 2^j") {
     val n = 14; val pairs = 5
-    val g = GraphGen.twoPlexWithPairs(n, pairs)
+    val g = TestGraphs.twoPlexWithPairs(n, pairs)
     val f = n - 2 * pairs
     for (l <- 1 to n) {
       val expect = (0 to l).map { j =>
@@ -129,7 +129,7 @@ class PlexListersTest extends AnyFunSuite {
 
   for (t <- 3 to 5; l <- 2 to 6) {
     test(s"kCtPlex on a $t-plex(16), l=$l: count and list match brute force") {
-      val g = GraphGen.tPlex(16, t, seed = t * 10 + l)
+      val g = TestGraphs.tPlex(16, t, seed = t * 10 + l)
       val want = BruteForce.list(g, l)
       assert(run(g, l, t, wantCliques = false) == Left(want.size.toLong))
       assert(run(g, l, t, wantCliques = true) == Right(want))
@@ -138,7 +138,7 @@ class PlexListersTest extends AnyFunSuite {
 
   test("kCtPlex handles graphs with no universal vertices") {
     // 3-plex where every vertex misses some neighbor.
-    val g = GraphGen.tPlex(10, 3, seed = 99)
+    val g = TestGraphs.tPlex(10, 3, seed = 99)
     val minDeg = (0 until g.n).map(g.degree).min
     if (minDeg < g.n - 1) {
       for (l <- 2 to 5)
@@ -147,7 +147,7 @@ class PlexListersTest extends AnyFunSuite {
   }
 
   test("dispatch refuses graphs sparser than the threshold") {
-    val g = GraphGen.cycle(8) // min degree 2 << 8 - t for small t
+    val g = TestGraphs.cycle(8) // min degree 2 << 8 - t for small t
     val rows = new Array[Long](8)
     for ((u, v) <- g.edges) { rows(u) |= 1L << v; rows(v) |= 1L << u }
     val sink = new CountingSink
@@ -158,7 +158,7 @@ class PlexListersTest extends AnyFunSuite {
   }
 
   test("partial clique prefix is preserved in emissions") {
-    val g = GraphGen.complete(5)
+    val g = TestGraphs.complete(5)
     val rows = new Array[Long](5)
     for ((u, v) <- g.edges) { rows(u) |= 1L << v; rows(v) |= 1L << u }
     val stack = new Array[Int](8)
@@ -170,12 +170,12 @@ class PlexListersTest extends AnyFunSuite {
   }
 
   test("l = 1 on a 2-plex lists every vertex") {
-    val g = GraphGen.twoPlexWithPairs(8, 2)
+    val g = TestGraphs.twoPlexWithPairs(8, 2)
     assert(run(g, 1, 2, wantCliques = false) == Left(8L))
   }
 
   test("l equal to the plex's max clique size") {
-    val g = GraphGen.twoPlexWithPairs(10, 3) // omega = 7 (all F + one per pair)
+    val g = TestGraphs.twoPlexWithPairs(10, 3) // omega = 7 (all F + one per pair)
     assert(run(g, 7, 2, wantCliques = false) == Left(BruteForce.count(g, 7)))
     assert(run(g, 8, 2, wantCliques = false) == Left(0L))
   }

@@ -8,7 +8,7 @@ import repro.graph.{GraphDF, GraphGen, LocalGraph, TestGraphs}
 class CliqueDFTest extends SparkSpec {
   import spark.implicits._
 
-  private def fixture = GraphGen.plantCliques(GraphGen.gnm(100, 400, seed = 21), Seq(0 until 7))
+  private def fixture = TestGraphs.plantCliques(GraphGen.gnm(100, 400, seed = 21), Seq(0 until 7))
 
   test("k=3 listing matches DuckDB row for row (as sorted triples)") {
     val edges = GraphDF.fromLocal(spark, fixture)
@@ -66,7 +66,7 @@ class CliqueDFTest extends SparkSpec {
 class KCliqueSparkTest extends SparkSpec {
 
   private lazy val localFixture =
-    GraphGen.plantCliques(GraphGen.powerLaw(400, 2000, 1.5, seed = 41), Seq(0 until 10))
+    TestGraphs.plantCliques(GraphGen.powerLaw(400, 2000, 1.5, seed = 41), Seq(0 until 10))
 
   for (k <- 3 to 6; cfg <- Seq[AlgoConfig](
       Algos.EBBkCET, Algos.EBBkC, Algos.EBBkCT_ET,

@@ -55,7 +55,7 @@ class LocalGraphTest extends AnyFunSuite {
   }
 
   test("complete graph structure") {
-    val g = GraphGen.complete(7)
+    val g = TestGraphs.complete(7)
     assert(g.n == 7 && g.m == 21)
     assert(g.maxDegree == 6)
     for (u <- 0 until 7; v <- 0 until 7 if u != v) assert(g.hasEdge(u, v))
@@ -102,7 +102,7 @@ class GraphGenTest extends AnyFunSuite {
   }
 
   test("complete bipartite has no odd cycles through one side") {
-    val g = GraphGen.completeBipartite(4, 5)
+    val g = TestGraphs.completeBipartite(4, 5)
     assert(g.n == 9 && g.m == 20)
     for (u <- 0 until 4; v <- 0 until 4 if u != v) assert(!g.hasEdge(u, v))
     for (u <- 4 until 9; v <- 4 until 9 if u != v) assert(!g.hasEdge(u, v))
@@ -110,52 +110,60 @@ class GraphGenTest extends AnyFunSuite {
   }
 
   test("cycle, path, star shapes") {
-    assert(GraphGen.cycle(6).m == 6)
-    assert(GraphGen.path(6).m == 5)
-    val s = GraphGen.star(6)
+    assert(TestGraphs.cycle(6).m == 6)
+    assert(TestGraphs.path(6).m == 5)
+    val s = TestGraphs.star(6)
     assert(s.m == 5 && s.degree(0) == 5)
   }
 
   test("random tree has n-1 edges") {
-    val t = GraphGen.randomTree(64, seed = 3)
+    val t = TestGraphs.randomTree(64, seed = 3)
     assert(t.m == 63)
   }
 
   test("tPlex(n, t) has min degree >= n - t") {
     for (t <- 1 to 4) {
-      val g = GraphGen.tPlex(20, t, seed = t)
+      val g = TestGraphs.tPlex(20, t, seed = t)
       val minDeg = (0 until g.n).map(g.degree).min
       assert(minDeg >= 20 - t, s"t=$t minDeg=$minDeg")
     }
   }
 
   test("tPlex(n, 1) is the complete graph") {
-    val g = GraphGen.tPlex(10, 1, seed = 5)
+    val g = TestGraphs.tPlex(10, 1, seed = 5)
     assert(g.m == 45)
   }
 
   test("twoPlexWithPairs removes exactly the disjoint pairs") {
-    val g = GraphGen.twoPlexWithPairs(10, 3)
+    val g = TestGraphs.twoPlexWithPairs(10, 3)
     assert(g.m == 45 - 3)
     assert(!g.hasEdge(0, 1) && !g.hasEdge(2, 3) && !g.hasEdge(4, 5))
     assert(g.hasEdge(6, 7) && g.hasEdge(0, 2))
   }
 
   test("plantCliques adds exactly the clique edges") {
-    val g = GraphGen.plantCliques(LocalGraph.empty(10), Seq(Seq(1, 3, 5, 7)))
+    val g = TestGraphs.plantCliques(LocalGraph.empty(10), Seq(Seq(1, 3, 5, 7)))
     assert(g.m == 6)
     assert(g.hasEdge(1, 3) && g.hasEdge(5, 7) && g.hasEdge(3, 7))
   }
 
   test("plantRandomCliques guarantees an omega lower bound") {
-    val g = GraphGen.plantRandomCliques(GraphGen.gnm(200, 400, 1), count = 2, size = 8, seed = 2)
+    val g = TestGraphs.plantRandomCliques(GraphGen.gnm(200, 400, 1), count = 2, size = 8, seed = 2)
     assert(repro.order.MaxClique.omega(g) >= 8)
   }
 
   test("disjointUnion shifts the second graph") {
-    val g = GraphGen.disjointUnion(GraphGen.complete(3), GraphGen.complete(4))
+    val g = TestGraphs.disjointUnion(TestGraphs.complete(3), TestGraphs.complete(4))
     assert(g.n == 7 && g.m == 3 + 6)
     assert(g.hasEdge(0, 1) && g.hasEdge(3, 6) && !g.hasEdge(2, 3))
+  }
+
+  // Every SynthGraphs stand-in draws on these three streams.
+  test("the stand-ins' generators match their pinned edge-list hashes") {
+    def h(g: LocalGraph) = Seq(g.m, java.util.Arrays.hashCode(g.edgeU), java.util.Arrays.hashCode(g.edgeV))
+    assert(h(GraphGen.gnm(2000, 8000, 1)) == Seq(8000, 169093082, 586167340))
+    assert(h(GraphGen.gnp(200, 0.3, 2)) == Seq(6069, 542844543, -862721617))
+    assert(h(GraphGen.powerLaw(4000, 8000, 1.6, 3)) == Seq(8000, -1927267678, 858626723))
   }
 
   test("powerLaw degree skew: top vertex beats the median") {

@@ -6,22 +6,22 @@ import repro.graph.{GraphGen, LocalGraph, SynthGraphs, TestGraphs}
 class CoreDecompositionTest extends AnyFunSuite {
 
   test("complete graph K_n has degeneracy n - 1") {
-    for (n <- Seq(2, 5, 9)) assert(CoreDecomposition.run(GraphGen.complete(n)).degeneracy == n - 1)
+    for (n <- Seq(2, 5, 9)) assert(CoreDecomposition.run(TestGraphs.complete(n)).degeneracy == n - 1)
   }
 
   test("complete bipartite K_{p,p} has degeneracy p") {
-    for (p <- Seq(2, 4, 7)) assert(CoreDecomposition.run(GraphGen.completeBipartite(p, p)).degeneracy == p)
+    for (p <- Seq(2, 4, 7)) assert(CoreDecomposition.run(TestGraphs.completeBipartite(p, p)).degeneracy == p)
   }
 
   test("trees have degeneracy 1, cycles 2") {
-    assert(CoreDecomposition.run(GraphGen.randomTree(50, 1)).degeneracy == 1)
-    assert(CoreDecomposition.run(GraphGen.cycle(50)).degeneracy == 2)
-    assert(CoreDecomposition.run(GraphGen.path(50)).degeneracy == 1)
-    assert(CoreDecomposition.run(GraphGen.star(50)).degeneracy == 1)
+    assert(CoreDecomposition.run(TestGraphs.randomTree(50, 1)).degeneracy == 1)
+    assert(CoreDecomposition.run(TestGraphs.cycle(50)).degeneracy == 2)
+    assert(CoreDecomposition.run(TestGraphs.path(50)).degeneracy == 1)
+    assert(CoreDecomposition.run(TestGraphs.star(50)).degeneracy == 1)
   }
 
   test("planted clique dominates a sparse background") {
-    val g = GraphGen.plantCliques(GraphGen.randomTree(300, 2), Seq(100 until 112))
+    val g = TestGraphs.plantCliques(TestGraphs.randomTree(300, 2), Seq(100 until 112))
     assert(CoreDecomposition.run(g).degeneracy == 11)
   }
 
@@ -65,7 +65,7 @@ class TrussDecompositionTest extends AnyFunSuite {
 
   test("complete graph K_n has tau = n - 2 (k_max = n)") {
     for (n <- Seq(3, 5, 8)) {
-      val t = TrussDecomposition.run(GraphGen.complete(n))
+      val t = TrussDecomposition.run(TestGraphs.complete(n))
       assert(t.tau == n - 2)
       assert(t.tau + 2 == n)
       assert(t.trussNumber.forall(_ == n))
@@ -73,13 +73,13 @@ class TrussDecompositionTest extends AnyFunSuite {
   }
 
   test("triangle-free graphs have tau = 0") {
-    assert(TrussDecomposition.run(GraphGen.completeBipartite(6, 6)).tau == 0)
-    assert(TrussDecomposition.run(GraphGen.cycle(10)).tau == 0)
-    assert(TrussDecomposition.run(GraphGen.randomTree(40, 1)).tau == 0)
+    assert(TrussDecomposition.run(TestGraphs.completeBipartite(6, 6)).tau == 0)
+    assert(TrussDecomposition.run(TestGraphs.cycle(10)).tau == 0)
+    assert(TrussDecomposition.run(TestGraphs.randomTree(40, 1)).tau == 0)
   }
 
   test("single triangle has tau = 1") {
-    assert(TrussDecomposition.run(GraphGen.cycle(3)).tau == 1)
+    assert(TrussDecomposition.run(TestGraphs.cycle(3)).tau == 1)
   }
 
   test("supports match DataFrame-free local counts on small graphs") {
@@ -99,11 +99,11 @@ class TrussDecompositionTest extends AnyFunSuite {
 
   test("Lemma 4.1: tau < delta on assorted graphs") {
     val graphs = Seq(
-      GraphGen.complete(8),
+      TestGraphs.complete(8),
       GraphGen.gnp(60, 0.2, 1),
       GraphGen.powerLaw(300, 1500, 1.5, 2),
-      GraphGen.plantCliques(GraphGen.gnm(200, 600, 3), Seq(0 until 15)),
-      GraphGen.completeBipartite(5, 5)
+      TestGraphs.plantCliques(GraphGen.gnm(200, 600, 3), Seq(0 until 15)),
+      TestGraphs.completeBipartite(5, 5)
     )
     for (g <- graphs if g.m > 0) {
       val tau = TrussDecomposition.run(g).tau
@@ -122,7 +122,7 @@ class TrussDecompositionTest extends AnyFunSuite {
   test("truss-ordering invariant: suffix support at removal is bounded by tau") {
     // For every edge, its endpoints' common neighbors through strictly
     // later-ranked edges number at most tau (this is |V(g_i)| of Eq. 3/5).
-    val g = GraphGen.plantCliques(GraphGen.gnm(150, 800, 10), Seq(0 until 12, 50 until 58))
+    val g = TestGraphs.plantCliques(GraphGen.gnm(150, 800, 10), Seq(0 until 12, 50 until 58))
     val t = TrussDecomposition.run(g)
     for (e <- 0 until g.m) {
       val u = g.edgeU(e); val v = g.edgeV(e)
@@ -145,7 +145,7 @@ class TrussDecompositionTest extends AnyFunSuite {
   }
 
   test("planted-clique truss number: clique edges live in the k-truss") {
-    val g = GraphGen.plantCliques(GraphGen.randomTree(100, 4), Seq(10 until 20))
+    val g = TestGraphs.plantCliques(TestGraphs.randomTree(100, 4), Seq(10 until 20))
     val t = TrussDecomposition.run(g)
     assert(t.tau == 8) // K_10 => every clique edge has 8 common neighbors
     for (u <- 10 until 20; v <- u + 1 until 20)
@@ -153,7 +153,7 @@ class TrussDecompositionTest extends AnyFunSuite {
   }
 
   test("tau >= omega - 2 (an omega-clique is an omega-truss)") {
-    val g = GraphGen.plantCliques(GraphGen.gnm(300, 900, 12), Seq(0 until 14))
+    val g = TestGraphs.plantCliques(GraphGen.gnm(300, 900, 12), Seq(0 until 14))
     val tau = TrussDecomposition.run(g).tau
     val omega = MaxClique.omega(g)
     assert(tau >= omega - 2)
@@ -242,8 +242,8 @@ class ColoringTest extends AnyFunSuite {
   }
 
   test("complete graph needs exactly n colors; bipartite exactly 2") {
-    assert(Coloring.inverseDegeneracy(GraphGen.complete(6)).max == 6)
-    assert(Coloring.inverseDegeneracy(GraphGen.completeBipartite(4, 4)).max == 2)
+    assert(Coloring.inverseDegeneracy(TestGraphs.complete(6)).max == 6)
+    assert(Coloring.inverseDegeneracy(TestGraphs.completeBipartite(4, 4)).max == 2)
   }
 
   test("inverseDegeneracy is proper first fit in reverse degeneracy order") {
@@ -263,16 +263,16 @@ class ColoringTest extends AnyFunSuite {
 class MaxCliqueTest extends AnyFunSuite {
 
   test("known shapes") {
-    assert(MaxClique.omega(GraphGen.complete(7)) == 7)
-    assert(MaxClique.omega(GraphGen.completeBipartite(4, 5)) == 2)
-    assert(MaxClique.omega(GraphGen.cycle(9)) == 2)
-    assert(MaxClique.omega(GraphGen.cycle(3)) == 3)
-    assert(MaxClique.omega(GraphGen.randomTree(30, 1)) == 2)
+    assert(MaxClique.omega(TestGraphs.complete(7)) == 7)
+    assert(MaxClique.omega(TestGraphs.completeBipartite(4, 5)) == 2)
+    assert(MaxClique.omega(TestGraphs.cycle(9)) == 2)
+    assert(MaxClique.omega(TestGraphs.cycle(3)) == 3)
+    assert(MaxClique.omega(TestGraphs.randomTree(30, 1)) == 2)
     assert(MaxClique.omega(LocalGraph.empty(4)) == 1)
   }
 
   test("planted cliques are found") {
-    val g = GraphGen.plantCliques(GraphGen.gnm(400, 1200, 2), Seq(0 until 17))
+    val g = TestGraphs.plantCliques(GraphGen.gnm(400, 1200, 2), Seq(0 until 17))
     assert(MaxClique.omega(g) == 17)
   }
 
@@ -285,7 +285,7 @@ class MaxCliqueTest extends AnyFunSuite {
   }
 
   test("tPlex omega: removing a matching from K_n drops omega to ceil(n/2) at least") {
-    val g = GraphGen.tPlex(12, 2, 3) // K_12 minus one perfect matching
+    val g = TestGraphs.tPlex(12, 2, 3) // K_12 minus one perfect matching
     val o = MaxClique.omega(g)
     assert(o >= 6 && o < 12)
   }
