@@ -9,17 +9,20 @@ import repro.graph.{LocalGraph, TestGraphs}
   * stack as emitted, unsorted) and, for the VBBkC configurations, of every
   * count handed to the sink in counting mode. The fixtures have subproblems
   * of one to three words: the mixed-width graph at k = 5..7, both
-  * word-boundary graphs at k = 4, 5 and K70 at k = 3, 4. A refactor that
-  * keeps each recursion's branching order, prunes and emissions keeps every
-  * value.
+  * word-boundary graphs at k = 4, 5 and K70 at k = 3, 4. EBBkC-T's
+  * configurations are pinned again, in both modes, on cells deep enough to
+  * branch at depth two and beyond: the mixed-width graph at k = 5..9 and
+  * both word-boundary graphs at k = 4..6. A refactor that keeps each
+  * recursion's branching order, prunes and emissions keeps every value.
   */
 class BranchPinTest extends AnyFunSuite {
   import KernelFixtures.{algos, mixedWidth, wordBoundary}
 
-  private val cells: Seq[(LocalGraph, Int)] =
-    (5 to 7).map(k => (mixedWidth, k)) ++
-      wordBoundary.flatMap { case (_, g) => (4 to 5).map(k => (g, k)) } ++
+  private def cellsAt(mixedKs: Range, boundaryKs: Range): Seq[(LocalGraph, Int)] =
+    mixedKs.map(k => (mixedWidth, k)) ++
+      wordBoundary.flatMap { case (_, g) => boundaryKs.map(k => (g, k)) } ++
       (3 to 4).map(k => (TestGraphs.complete(70), k))
+  private val cells = cellsAt(5 to 7, 4 to 5)
 
   private val bitsetAlgos: Seq[AlgoConfig] = algos.filter {
     case v: VbbkcAlgo => v.bitset
@@ -27,9 +30,9 @@ class BranchPinTest extends AnyFunSuite {
   } :+ VbbkcAlgo(SubNatural, bitset = true)
 
   /** FNV-1a over 64-bit values: every emitted stack (its length, then its
-    * entries) or count, in emission order, over all cells.
+    * entries) or count, in emission order, over all cells of `on`.
     */
-  private def fingerprint(cfg: AlgoConfig, listing: Boolean): String = {
+  private def fingerprint(cfg: AlgoConfig, listing: Boolean, on: Seq[(LocalGraph, Int)] = cells): String = {
     var h = 0xcbf29ce484222325L
     def mix(x: Long): Unit = h = (h ^ x) * 0x100000001b3L
     val sink = new CliqueSink {
@@ -41,7 +44,7 @@ class BranchPinTest extends AnyFunSuite {
       }
       override def onCount(c: Long): Unit = { mix(-1L); mix(c) }
     }
-    for ((g, k) <- cells) {
+    for ((g, k) <- on) {
       mix(-2L - k)
       val prep = KClique.prepare(g, k, cfg)
       val kernel = prep.newKernel()
@@ -82,6 +85,16 @@ class BranchPinTest extends AnyFunSuite {
     "Degen(bit) count" -> "03208fc58e94b055"
   )
 
+  // Taken from EBBkC-T as it stood with one set of rows per branching depth.
+  private val deepT: Map[String, String] = Map(
+    "EBBkC-T list" -> "b3e65917ab6ed414",
+    "EBBkC-T count" -> "5107f8390a6a93eb",
+    "EBBkC-T+ET(t=2) list" -> "db3fe67681bd0fbe",
+    "EBBkC-T+ET(t=2) count" -> "da59632f40da1e7c",
+    "EBBkC-T+ET(t=4) list" -> "2b189d38fdfc8fa6",
+    "EBBkC-T+ET(t=4) count" -> "137d0c6230c9d773"
+  )
+
   for (cfg <- bitsetAlgos)
     test(s"${cfg.name}: listing order on the multi-word fixtures is pinned") {
       val key = s"${cfg.name} list"
@@ -93,4 +106,14 @@ class BranchPinTest extends AnyFunSuite {
       val key = s"${cfg.name} count"
       assert(fingerprint(cfg, listing = false) == pinned.getOrElse(key, ""), key)
     }
+
+  test("EBBkC-T: listing order and counting-mode sink calls at depth two and beyond are pinned") {
+    val truss = algos.collect { case a: EbbkcAlgo if a.ordering == TrussOrdering => a }
+    assert(truss.map(_.name).toSet == Set("EBBkC-T", "EBBkC-T+ET(t=2)", "EBBkC-T+ET(t=4)"))
+    val deep = cellsAt(5 to 9, 4 to 6)
+    for (cfg <- truss; listing <- Seq(true, false)) {
+      val key = s"${cfg.name} ${if (listing) "list" else "count"}"
+      assert(fingerprint(cfg, listing, deep) == deepT(key), key)
+    }
+  }
 }
