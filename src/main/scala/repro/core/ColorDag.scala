@@ -110,7 +110,8 @@ final class BitDag {
   private[core] var packed = Array.emptyLongArray
 
   /** Sizes the DAG for the `n` vertices of `sub`'s last build, loads their
-    * adjacency into `rows` and fills [[full]].
+    * adjacency into `rows` (row i has bit j set iff i ~ j) and fills
+    * [[full]].
     */
   def load(sub: SubgraphBuilder, n: Int): Unit = {
     s = n
@@ -124,7 +125,14 @@ final class BitDag {
       order = new Array[Int](n); localColors = new Array[Int](n); colors = new Array[Int](n)
       toOuter = new Array[Int](n); posOf = new Array[Int](n); packed = new Array[Long](n)
     }
-    sub.wordRows(rows, words, n)
+    java.util.Arrays.fill(rows, 0, n * words, 0L)
+    var e = 0
+    while (e < sub.numEdges) {
+      val a = sub.ends(2 * e); val b = sub.ends(2 * e + 1)
+      rows(a * words + (b >>> 6)) |= 1L << (b & 63)
+      rows(b * words + (a >>> 6)) |= 1L << (a & 63)
+      e += 1
+    }
     BitDag.fillAll(full, n)
   }
 

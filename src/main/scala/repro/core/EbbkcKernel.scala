@@ -50,8 +50,10 @@ object EbbkcPrep {
   * branches on bitset rows local to one subproblem's branch graph.
   *
   * Truss path (EBBkC-T, Algorithm 3): the branch graph of a top-level edge
-  * keeps the builder's local ids; its edges are local endpoint pairs in
-  * pi_tau order, and each branching depth has its own adjacency rows.
+  * is loaded into the [[BitDag]]'s rows over the builder's local ids, and
+  * every branching depth branches on those rows in place. A branch graph is
+  * a member set over them plus its edges, local endpoint pairs in pi_tau
+  * order.
   *
   * Hybrid path (EBBkC-H, Algorithm 5): the initial branch uses the truss
   * ordering; each resulting subgraph is colored and branched as a local
@@ -82,18 +84,17 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   // The subproblem's vertices, ascending: VSet(e) (truss paths) or the
   // edge's common out-neighbors (EBBkC-C). Builder local id i is verts(i).
   private val verts = new Array[Int](g.maxDegree)
-  // The color-ordered DAG of the current EBBkC-H branch graph or EBBkC-C
-  // edge subproblem, rebuilt in place.
+  // The current subproblem's DAG, rebuilt in place: EBBkC-T branches on its
+  // rows as loaded, EBBkC-H and EBBkC-C on its color order.
   private val dag = new BitDag
-  // A truss-level branch graph at EBBkC-T branching depth d (stack depth
-  // 2d + 2): its member set tV(d), flat adjacency rows tRows(d) of tWords
-  // words over the builder's local ids, and edges tEnds(d) (local endpoints
-  // of edge i at 2i and 2i + 1, in pi_tau order), sorted by rank in
-  // rankKeys. Arrays grow only when a graph needs more than they hold.
+  // EBBkC-T's branch graphs: the node at branching depth d (stack depth
+  // 2d + 2) puts each child's member set in tV(d) and, where the child
+  // branches, its edges in tEnds(d + 1) (local endpoints of edge i at 2i and
+  // 2i + 1, in pi_tau order); tEnds(0) holds the top level's edges, sorted
+  // by rank in rankKeys. Arrays grow only when a graph needs more than they
+  // hold.
   private val depths = k / 2
-  private var tWords = 0
   private val tV = Array.fill(depths)(Array.emptyLongArray)
-  private val tRows = Array.fill(depths)(Array.emptyLongArray)
   private val tEnds = Array.fill(depths)(Array.emptyIntArray)
   private var rankKeys = Array.emptyLongArray
   // A DAG of more than 64 vertices: each edge branch is two vertex steps.
@@ -140,21 +141,10 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     sub.build(verts, nv, rank, r)
     if (cfg.ordering == HybridOrdering) runHybridBranch(nv, l0, sink)
     else {
-      loadRows(nv)
-      recT(0, nv, loadEdgesByRank(), l0, sink)
+      dag.load(sub, nv)
+      if (tV(0).length < dag.words) for (d <- 0 until depths) tV(d) = new Array[Long](dag.words)
+      recT(0, dag.full, nv, loadEdgesByRank(), l0, sink)
     }
-  }
-
-  /** Loads the last build's `s` vertices into depth 0: their full member
-    * set tV(0) and their adjacency rows tRows(0).
-    */
-  private def loadRows(s: Int): Unit = {
-    val words = (s + 63) >>> 6
-    if (tRows(0).length < s * words) for (d <- 0 until depths) tRows(d) = new Array[Long](s * words)
-    if (tV(0).length < words) for (d <- 0 until depths) tV(d) = new Array[Long](words)
-    tWords = words
-    sub.wordRows(tRows(0), words, s)
-    BitDag.fillAll(tV(0), s)
   }
 
   /** Loads the last build's edges into tEnds(0), in pi_tau order; returns their number. */
@@ -199,27 +189,25 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
 
   // ------------------------------------------------------------ EBBkC-T body
 
-  /** Algorithm 3's recursion on the branch graph at depth d: the `cnt`
-    * members of tV(d), their rows tRows(d) and the `ne` edges of tEnds(d).
-    * Rows are flat, row x at `x * tWords`.
-    * Branching on edge i first clears it from the rows, which then hold
-    * exactly the edges after i: V(g') = rows(a) & rows(b), each member x of
-    * V(g') keeps rows(x) & V(g'), and E(g') is the later edges inside V(g').
-    * A counting branch at l <= 4 adds its children's |V(g')| (l = 3) or
-    * |E(g')| (l = 4) in place.
+  /** Algorithm 3's recursion on the branch graph g at depth d: the `cnt`
+    * members of `c` and the `ne` edges of tEnds(d). The rows of `dag`,
+    * restricted to `c`, hold exactly E(g). Branching on edge i first clears
+    * it from the rows, which then hold exactly the edges after i:
+    * V(g') = rows(a) & rows(b) & c, and E(g') is the rows restricted to
+    * V(g'). The node sets its edges back when its loop ends. A counting
+    * node at l <= 4 adds its children's |V(g')| (l = 3) or |E(g')| (l = 4)
+    * in place.
     */
-  private def recT(d: Int, cnt: Int, ne: Int, l: Int, sink: CliqueSink): Unit = {
+  private def recT(d: Int, c: Array[Long], cnt: Int, ne: Int, l: Int, sink: CliqueSink): Unit = {
     val sp = 2 * d + 2
-    val c = tV(d); val rows = tRows(d); val ends = tEnds(d)
-    val words = tWords
+    val rows = dag.rows; val words = dag.words; val ends = tEnds(d)
     if (l >= 3 && mayBePlex(cnt, ne) &&
         PlexListers.tryEarlyTerminate(stack, sp, c, cnt, rows, words, verts, l, etT, sink))
       return
     if (l == 1) { BitDag.emitSingles(c, cnt, words, verts, stack, sp, sink); return }
     if (l == 2) { emitEdges(ends, ne, sp, sink); return }
     val leaves = l <= 4 && !sink.wantsCliques
-    // Each child g': its member set V(g'), rows and edges.
-    val cc = tV(d + 1); val cRows = tRows(d + 1); val cEnds = tEnds(d + 1)
+    val cc = tV(d); val cEnds = tEnds(d + 1) // each child g': V(g') and E(g')
     var total = 0L
     var i = 0
     while (i < ne) {
@@ -228,38 +216,43 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       rows(ra + (b >>> 6)) &= ~(1L << (b & 63)); rows(rb + (a >>> 6)) &= ~(1L << (a & 63))
       var nn = 0
       var w = 0
-      while (w < words) { cc(w) = rows(ra + w) & rows(rb + w); nn += java.lang.Long.bitCount(cc(w)); w += 1 }
+      while (w < words) { cc(w) = rows(ra + w) & rows(rb + w) & c(w); nn += java.lang.Long.bitCount(cc(w)); w += 1 }
       if (nn >= l - 2) {
-        var ce = 0
-        if (l >= 4) {
+        if (leaves && l == 3) total += nn
+        else if (leaves) { // |E(g')|: half the degrees in V(g') of its members
+          var deg = 0
+          w = 0
+          while (w < words) {
+            var bits = cc(w)
+            while (bits != 0) {
+              val rx = ((w << 6) + java.lang.Long.numberOfTrailingZeros(bits)) * words
+              bits &= bits - 1
+              var ww = 0
+              while (ww < words) { deg += java.lang.Long.bitCount(rows(rx + ww) & cc(ww)); ww += 1 }
+            }
+            w += 1
+          }
+          total += deg / 2
+        } else {
+          var ce = 0
           var j = i + 1
-          while (j < ne) {
+          while (l >= 4 && j < ne) {
             val x = ends(2 * j); val y = ends(2 * j + 1)
             if ((cc(x >>> 6) & (1L << (x & 63))) != 0 && (cc(y >>> 6) & (1L << (y & 63))) != 0) {
               cEnds(2 * ce) = x; cEnds(2 * ce + 1) = y; ce += 1
             }
             j += 1
           }
-        }
-        if (leaves) total += (if (l == 3) nn else ce)
-        else {
-          if (l >= 5) {
-            w = 0
-            while (w < words) {
-              var bits = cc(w)
-              while (bits != 0) {
-                val rx = ((w << 6) + java.lang.Long.numberOfTrailingZeros(bits)) * words
-                bits &= bits - 1
-                var ww = 0
-                while (ww < words) { cRows(rx + ww) = rows(rx + ww) & cc(ww); ww += 1 }
-              }
-              w += 1
-            }
-          }
           stack(sp) = verts(a); stack(sp + 1) = verts(b)
-          recT(d + 1, nn, ce, l - 2, sink)
+          recT(d + 1, cc, nn, ce, l - 2, sink)
         }
       }
+      i += 1
+    }
+    i = 0
+    while (i < ne) {
+      val a = ends(2 * i); val b = ends(2 * i + 1)
+      rows(a * words + (b >>> 6)) |= 1L << (b & 63); rows(b * words + (a >>> 6)) |= 1L << (a & 63)
       i += 1
     }
     if (total > 0) sink.onCount(total)
@@ -366,12 +359,13 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       i += 1
     }
     if (rule2 && l0 >= 3 && numColors < l0) return
+    stack(0) = prep.toOuter(u); stack(1) = prep.toOuter(v)
+    if (l0 == 1) { BitDag.emitSingles(verts, h, prep.toOuter, stack, 2, sink); return } // k = 3: triangles
     sub.build(verts, h, null, 0)
     dag.load(sub, h)
     i = 0
     while (i < h) { dag.localColors(i) = colors(verts(i)); i += 1 }
     ColorDag.buildBits(dag, ColorDag.identityOrder(dag), dag.localColors, verts, prep.toOuter)
-    stack(0) = prep.toOuter(u); stack(1) = prep.toOuter(v)
     branchOn(l0, etHere = true, sink)
   }
 }

@@ -168,9 +168,9 @@ object LocalGraph {
   * cutoff. Each induced edge is found once, from its smaller endpoint, by
   * probing the later members against that endpoint's list, so a member
   * costs about min(its degree, the members after it) lookups and no build
-  * walks a hub's whole list. [[build]] leaves an edge list; [[wordRows]]
-  * reads it as bitset adjacency rows. Holds scratch arrays: one instance
-  * per kernel.
+  * walks a hub's whole list. [[build]] leaves an edge list, which
+  * [[repro.core.BitDag.load]] reads as bitset adjacency rows. Holds scratch
+  * arrays: one instance per kernel.
   */
 final class SubgraphBuilder(g: LocalGraph) {
   private var hitIdx, hitPos = new Array[Int](64)
@@ -204,20 +204,5 @@ final class SubgraphBuilder(g: LocalGraph) {
       i += 1
     }
     numEdges = ne
-  }
-
-  /** The last build's `s` vertices as bitset rows of `words` words: row i,
-    * at `rows(i * words until (i + 1) * words)`, has bit j set iff i ~ j.
-    * The rows are cleared first.
-    */
-  def wordRows(rows: Array[Long], words: Int, s: Int): Unit = {
-    Arrays.fill(rows, 0, s * words, 0L)
-    var e = 0
-    while (e < numEdges) {
-      val a = ends(2 * e); val b = ends(2 * e + 1)
-      rows(a * words + (b >>> 6)) |= 1L << (b & 63)
-      rows(b * words + (a >>> 6)) |= 1L << (a & 63)
-      e += 1
-    }
   }
 }
