@@ -84,8 +84,8 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   // The subproblem's vertices, ascending: VSet(e) (truss paths) or the
   // edge's common out-neighbors (EBBkC-C). Builder local id i is verts(i).
   private val verts = new Array[Int](g.maxDegree)
-  // The current subproblem's DAG, rebuilt in place: EBBkC-T branches on its
-  // rows as loaded, EBBkC-H and EBBkC-C on its color order.
+  // The current subproblem's DAG, rebuilt in place: EBBkC-T branches in
+  // place on its loaded rows, EBBkC-H and EBBkC-C on its color order.
   private val dag = new BitDag
   // EBBkC-T's branch graphs: the node at branching depth d (stack depth
   // 2d + 2) puts each child's member set in tV(d) and, where the child
